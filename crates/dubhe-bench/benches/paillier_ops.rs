@@ -2,13 +2,15 @@
 //! scalar and vector encryption (naive `rⁿ` vs precomputed-base `hˣ`),
 //! batch decryption and homomorphic aggregation across key sizes — the raw
 //! numbers behind the §6.4 encryption-overhead discussion and the fast-path
-//! speedup claimed in the crate docs.
+//! speedup claimed in the crate docs — plus the Montgomery kernel itself at
+//! each limb width it is specialised for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dubhe_he::{
     sum_vectors, sum_vectors_serial, CrtEncryptor, EncryptedVector, Encryptor, Keypair,
     PrecomputedEncryptor,
 };
+use num_bigint::{MontgomeryContext, MontgomeryScratch, RandBigInt};
 use rand::SeedableRng;
 
 fn bench_keygen(c: &mut Criterion) {
@@ -135,6 +137,34 @@ fn bench_epoch_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Montgomery kernel at 4–64 limbs: one in-place multiply, and one
+/// exponentiation by a half-width exponent (a CRT decryption leg: `p − 1`
+/// mod `p²` at 1024-bit keys is the 16-limb row).
+fn bench_montgomery_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("montgomery_kernel");
+    group.sample_size(10);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    for limbs in [4u64, 8, 16, 32, 64] {
+        let bits = 64 * limbs;
+        let mut m = rng.gen_biguint(bits);
+        m.set_bit(bits - 1, true);
+        m.set_bit(0, true);
+        let ctx = MontgomeryContext::new(&m);
+        let b = ctx.to_montgomery(&rng.gen_biguint(bits));
+        let mut acc = ctx.to_montgomery(&rng.gen_biguint(bits));
+        let mut scratch = MontgomeryScratch::new();
+        group.bench_with_input(BenchmarkId::new("mul", bits), &bits, |bench, _| {
+            bench.iter(|| ctx.montgomery_mul_assign(&mut acc, &b, &mut scratch));
+        });
+        let base = rng.gen_biguint(bits - 1);
+        let exponent = rng.gen_biguint(bits / 2);
+        group.bench_with_input(BenchmarkId::new("pow", bits), &bits, |bench, _| {
+            bench.iter(|| ctx.modpow(&base, &exponent));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_keygen,
@@ -142,5 +172,6 @@ criterion_group!(
     bench_vector_fast_vs_naive,
     bench_registry_vector,
     bench_epoch_aggregation,
+    bench_montgomery_kernel,
 );
 criterion_main!(benches);

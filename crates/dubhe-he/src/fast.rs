@@ -101,7 +101,7 @@ const BATCH_CHUNK: usize = 4;
 /// Built lazily, once per key, behind the shared [`PublicKey`] handle; every
 /// ciphertext produced under the key amortises it. Generated keys (odd `n²`)
 /// hold the table in the Montgomery domain of the key's cached context so
-/// each window step is one CIOS multiplication; a forged even-modulus key
+/// each window step is one Montgomery multiplication; a forged even-modulus key
 /// falls back to plain multiply-and-divide rows with identical results.
 #[derive(Debug)]
 pub(crate) enum FastBase {
@@ -326,7 +326,7 @@ pub trait Encryptor: Sync {
     /// bit-identical to it, which the property tests pin — but
     /// implementations route it through the simultaneous
     /// multi-exponentiation evaluator: an interleaved window walk over all
-    /// exponents with shared table rows, in-place CIOS through per-chunk
+    /// exponents with shared table rows, in-place Montgomery multiplies through per-chunk
     /// scratch arenas, and (past a volume threshold) lazily widened 8-bit
     /// tables. Registry-vector encryption calls this once per vector.
     fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
@@ -382,7 +382,7 @@ pub(crate) fn sample_exponents<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Ve
 /// One fixed-base window-table leg: `h mod s` for a leg modulus `s` (`n²`
 /// for the single-modulus tier, `p²`/`q²` for the CRT tiers), held entirely
 /// in the Montgomery domain of the key's cached context for `s`, so the
-/// per-ciphertext windowed product is a chain of CIOS multiplications with a
+/// per-ciphertext windowed product is a chain of Montgomery multiplications with a
 /// single conversion out.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowLeg {
@@ -439,7 +439,7 @@ impl WindowLeg {
     /// Simultaneous multi-exponentiation of one chunk of exponents: the
     /// window loop is outermost and the per-exponent accumulators advance
     /// together, so each table row is loaded once per chunk (not once per
-    /// element) and every multiplication is an in-place CIOS through one
+    /// element) and every multiplication is an in-place Montgomery multiply through one
     /// shared scratch arena. With `wide` tables the walk reads 8-bit digits
     /// (half the multiplications); either way the result is the unique
     /// `hˣ mod s`, bit-identical to [`pow`](Self::pow).
@@ -538,7 +538,7 @@ pub struct CrtEncryptor {
     q_squared: BigUint,
     /// `(q²)⁻¹ mod p²` (Garner's recombination constant), stored in the
     /// Montgomery domain of the p² context so the recombination reduction
-    /// is one CIOS multiply — `(q2_inv·R)·diff·R⁻¹ = q2_inv·diff mod p²` —
+    /// is one Montgomery multiply — `(q2_inv·R)·diff·R⁻¹ = q2_inv·diff mod p²` —
     /// instead of a full-width multiply plus a Knuth division.
     q2_inv_mont: MontgomeryOperand,
     /// Batch-volume counter + lazily widened per-leg 8-bit tables, shared

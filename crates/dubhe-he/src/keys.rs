@@ -295,6 +295,10 @@ pub struct PrivateKey {
     p_ctx: MontgomeryContext,
     /// Cached Montgomery context for `q²`.
     q_ctx: MontgomeryContext,
+    /// `p − 1`, the exponent of the `p²` CRT leg.
+    p_minus_1: BigUint,
+    /// `q − 1`, the exponent of the `q²` CRT leg.
+    q_minus_1: BigUint,
     /// `h_p = L_p(g^{p-1} mod p²)⁻¹ mod p` (CRT precomputation).
     h_p: BigUint,
     /// `h_q = L_q(g^{q-1} mod q²)⁻¹ mod q` (CRT precomputation).
@@ -353,6 +357,8 @@ impl PrivateKey {
             q,
             p_ctx,
             q_ctx,
+            p_minus_1,
+            q_minus_1,
             h_p,
             h_q,
             q_inv_p,
@@ -381,13 +387,11 @@ impl PrivateKey {
     /// Montgomery contexts: batch decryption pays zero `R²` setups instead
     /// of two per element.
     fn decrypt_raw(&self, c: &BigUint) -> BigUint {
-        let one = BigUint::one();
-
         // m_p = L_p(c^{p-1} mod p²) · h_p mod p
         let m_p =
-            (l_function(&self.p_ctx.modpow(c, &(&self.p - &one)), &self.p) * &self.h_p) % &self.p;
+            (l_function(&self.p_ctx.modpow(c, &self.p_minus_1), &self.p) * &self.h_p) % &self.p;
         let m_q =
-            (l_function(&self.q_ctx.modpow(c, &(&self.q - &one)), &self.q) * &self.h_q) % &self.q;
+            (l_function(&self.q_ctx.modpow(c, &self.q_minus_1), &self.q) * &self.h_q) % &self.q;
 
         // CRT recombination: m = m_q + q·((m_p - m_q)·q⁻¹ mod p)
         let diff = if m_p >= m_q {

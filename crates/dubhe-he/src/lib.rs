@@ -25,7 +25,7 @@
 //!   key's cached Montgomery contexts and recombined, for another ≥2×
 //!   on encryption with bit-identical ciphertexts.
 //! * [`RunningFold`] — Montgomery-domain registry aggregation: the
-//!   coordinator's running homomorphic sums advance with one CIOS multiply
+//!   coordinator's running homomorphic sums advance with one Montgomery multiply
 //!   per position per arriving vector (no per-element division), converted
 //!   out once per position when the total is read — bit-identical to an
 //!   [`EncryptedVector::add`] chain.

@@ -42,7 +42,7 @@ pub(crate) const PARALLEL_THRESHOLD: usize = 8;
 /// length, which the counting-allocator test pins.
 pub(crate) const FOLD_CHUNKS: usize = 8;
 
-/// A fixed pool of CIOS scratch arenas, one per fold chunk. The arenas warm
+/// A fixed pool of Montgomery scratch arenas, one per fold chunk. The arenas warm
 /// up on first use and are reused for every subsequent multiplication, which
 /// is what takes the steady-state fold to zero heap allocations per element.
 ///
@@ -449,7 +449,7 @@ impl Deserialize for EncryptedVector {
 /// independent per-position folds out over cores when `parallel` is enabled.
 ///
 /// The per-position product runs in the Montgomery domain of the key's
-/// cached `n²` context: each residue costs one CIOS multiplication instead
+/// cached `n²` context: each residue costs one Montgomery multiplication instead
 /// of a full multiply plus a Knuth division, and the accumulated `R⁻¹`
 /// deficit is cancelled by a single correction multiply per position (see
 /// [`num_bigint::MontgomeryContext::montgomery_residue`]). The result is

@@ -303,9 +303,20 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
         assert_eq!(loris.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
 
         // A connection that never sends a byte is swept too — silence is
-        // not a way to hold a pre-authentication slot open.
+        // not a way to hold a pre-authentication slot open. Wait for the
+        // accept first: `connections_open` can already read 0 before the
+        // reactor has seen the silent socket at all.
+        let accepted_before = reactor.stats().connections_accepted;
         let silent = TcpStream::connect(reactor.addr()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.stats().connections_accepted == accepted_before {
+            assert!(
+                Instant::now() < deadline,
+                "{backend:?}: silent connection never accepted: {:?}",
+                reactor.stats()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         while reactor.stats().connections_open > 0 {
             assert!(
                 Instant::now() < deadline,
