@@ -25,19 +25,20 @@
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_fl::models::small_mlp;
-use dubhe_fl::{FlSimulation, ListenerKind, SecureMode, SimulationConfig};
+use dubhe_fl::{FlSimulation, SecureMode, SimulationConfig};
 use dubhe_he::packing::Packer;
 use dubhe_he::transport::{measure_packed, measure_vector, CommunicationCount};
 use dubhe_he::{
     CrtEncryptor, EncryptedVector, Encryptor, FixedPointCodec, Keypair, PrecomputedEncryptor,
     PrivateKey, PublicKey, RunningFold,
 };
+use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     client_handshake, pump, run_registration, run_registration_with, run_try,
-    run_try_with_dropouts, ChannelPolicy, CodecKind, CoordinatorListener, CoordinatorServer,
-    Envelope, InMemoryTransport, LinkStats, ListenerConfig, NodeIdentity, Party, ProtocolMsg,
-    RegistryFrame, ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg,
-    HANDSHAKE_WIRE_BYTES, MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
+    run_try_with_dropouts, ChannelPolicy, CodecKind, CoordinatorServer, Envelope,
+    InMemoryTransport, LinkStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
+    ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, HANDSHAKE_WIRE_BYTES,
+    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{DubheConfig, DubheSelector};
 use rand::SeedableRng;
@@ -246,9 +247,9 @@ fn main() {
 /// total wire cost stays within 15% of the inner protocol bytes.
 fn channel_overhead(key_bits: u64, in_memory: &dubhe_select::TransportStats) -> ChannelOverheadRow {
     println!("\nauthenticated channel overhead (DBH2, 4-shard coordinator):");
-    let listener = CoordinatorListener::spawn_with(
+    let listener = ReactorListener::spawn_with(
         ShardedCoordinator::new(30, 4),
-        ListenerConfig::default().with_channel(ChannelPolicy::Required),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
     )
     .expect("spawn channel listener");
     let pin = listener.public_identity().expect("identity resolved");
@@ -692,7 +693,7 @@ fn tcp_round_trip(key_bits: u64, in_memory: &dubhe_select::TransportStats) {
         let mut config = DubheConfig::group1();
         config.k = 10;
 
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(30, 4))
+        let listener = ReactorListener::spawn(ShardedCoordinator::new(30, 4))
             .expect("spawn loopback listener");
         let endpoint = TcpTransport::connect_with_codec(listener.addr(), codec).expect("connect");
 
@@ -894,7 +895,6 @@ fn encrypted_simulation(key_bits: u64) {
         key_bits,
         shards: 4,
         codec: CodecKind::Json,
-        listener: ListenerKind::Threaded,
         packing: None,
         channel: ChannelPolicy::Plaintext,
     });
@@ -902,7 +902,6 @@ fn encrypted_simulation(key_bits: u64) {
         key_bits,
         shards: 4,
         codec: CodecKind::Binary,
-        listener: ListenerKind::Threaded,
         packing: None,
         channel: ChannelPolicy::Plaintext,
     });
@@ -973,7 +972,6 @@ fn encrypted_simulation(key_bits: u64) {
         key_bits,
         shards: 4,
         codec: CodecKind::Binary,
-        listener: ListenerKind::Threaded,
         packing: Some(32),
         channel: ChannelPolicy::Plaintext,
     });

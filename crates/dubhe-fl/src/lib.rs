@@ -70,7 +70,7 @@ pub use comm::{CommLedger, RoundComm};
 pub use divergence::{centralized_reference, update_dispersion, weight_distance, DivergenceTrace};
 pub use error::FlError;
 pub use history::{History, RoundRecord};
-pub use sim::{ClientDropout, FlSimulation, ListenerKind, SecureMode, SimulationConfig};
+pub use sim::{ClientDropout, FlSimulation, SecureMode, SimulationConfig};
 
 #[cfg(test)]
 mod tests {

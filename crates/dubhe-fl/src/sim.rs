@@ -26,9 +26,8 @@ use dubhe_select::multi_time_select;
 use dubhe_select::protocol::stats::ListenerStats;
 use dubhe_select::protocol::{
     pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    ChannelPolicy, CodecKind, Coordinator, CoordinatorListener, CoordinatorServer, Envelope,
-    InMemoryTransport, ListenerConfig, PackingPolicy, RegistrationRun, ShardedCoordinator,
-    TcpConfig, TcpTransport, Transport,
+    ChannelPolicy, CodecKind, Coordinator, CoordinatorServer, Envelope, InMemoryTransport,
+    PackingPolicy, RegistrationRun, ShardedCoordinator, TcpConfig, TcpTransport, Transport,
 };
 use dubhe_select::selector::{population_distribution, ClientSelector};
 use dubhe_select::{ProtocolError, SelectError};
@@ -42,22 +41,6 @@ use crate::client::{FlClient, LocalTrainingConfig, LocalUpdate};
 use crate::comm::{encrypted_vector_bytes, model_update_bytes, CommLedger, RoundComm};
 use crate::error::FlError;
 use crate::history::{History, RoundRecord};
-
-/// Which server shape a [`SecureMode::EncryptedTcp`] run listens with.
-///
-/// Both listeners speak the identical wire protocol against the identical
-/// sharded coordinator; only the concurrency model differs, so ledgers and
-/// selections are bit-identical across the two (which the tests pin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ListenerKind {
-    /// One blocking thread per connection
-    /// ([`CoordinatorListener`]) — simple, fine for small cohorts.
-    Threaded,
-    /// One event-loop thread multiplexing every connection through a
-    /// readiness poller ([`dubhe_net::ReactorListener`]) — the shape that
-    /// scales to 10⁴–10⁵ mostly idle persistent clients.
-    Reactor,
-}
 
 /// How the simulator treats the secure selection protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,10 +69,11 @@ pub enum SecureMode {
         packing: Option<u32>,
     },
     /// Like [`Encrypted`](Self::Encrypted), but the coordinator runs behind
-    /// a loopback TCP listener: every server-bound message crosses a real
-    /// socket as a length-prefixed frame in the selected payload `codec`
-    /// (`DBH1` JSON or `DBH2` canonical binary — negotiated from the frame
-    /// magic by the listener), the coordinator state is sharded across
+    /// a loopback TCP listener (`dubhe-net`'s [`ReactorListener`]): every
+    /// server-bound message crosses a real socket as a length-prefixed
+    /// frame in the selected payload `codec` (`DBH1` JSON or `DBH2`
+    /// canonical binary — negotiated from the frame magic by the
+    /// listener), the coordinator state is sharded across
     /// `shards` rayon-parallel folds, and the ledger additionally records
     /// the measured frame bytes per codec
     /// ([`RoundComm::wire_frame_bytes`](crate::comm::RoundComm::wire_frame_bytes)
@@ -104,9 +88,6 @@ pub enum SecureMode {
         shards: usize,
         /// The wire payload codec the connector frames requests in.
         codec: CodecKind,
-        /// Which server shape accepts the connection: a thread per
-        /// connection, or the event-loop reactor.
-        listener: ListenerKind,
         /// Slot packing, exactly as in [`Encrypted`](Self::Encrypted) — the
         /// packed frames cross the socket like any other, so the measured
         /// wire bytes shrink along with the canonical ciphertext accounting.
@@ -151,14 +132,6 @@ impl SecureMode {
         }
     }
 
-    /// The server shape of a socket-backed mode (`None` otherwise).
-    pub fn listener_kind(&self) -> Option<ListenerKind> {
-        match *self {
-            SecureMode::EncryptedTcp { listener, .. } => Some(listener),
-            _ => None,
-        }
-    }
-
     /// The slot width of an encrypted mode's ciphertext packing (`None` when
     /// the mode is modeled or uploads one counter per plaintext).
     pub fn packing_slot_bits(&self) -> Option<u32> {
@@ -172,7 +145,7 @@ impl SecureMode {
 }
 
 /// The coordinator slot of an encrypted simulation: in-process, or a framed
-/// TCP connection to the loopback [`CoordinatorListener`].
+/// TCP connection to the loopback [`ReactorListener`].
 // One `SimCoordinator` exists per simulation and lives on the stack for its
 // whole run — the variant size gap buys nothing to box away.
 #[allow(clippy::large_enum_variant)]
@@ -233,41 +206,6 @@ impl Coordinator for SimCoordinator {
         match self {
             SimCoordinator::Local(s) => Coordinator::close_try(s, try_index),
             SimCoordinator::Remote(t) => t.close_try(try_index),
-        }
-    }
-}
-
-/// The listener slot of a [`SecureMode::EncryptedTcp`] simulation: the
-/// thread-per-connection listener or the event-loop reactor, chosen by
-/// [`ListenerKind`]. Threads stop on drop either way.
-#[derive(Debug)]
-enum SimListener {
-    Threaded(CoordinatorListener),
-    Reactor(ReactorListener<ShardedCoordinator>),
-}
-
-impl SimListener {
-    /// The bound loopback address clients connect to.
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            SimListener::Threaded(l) => l.addr(),
-            SimListener::Reactor(l) => l.addr(),
-        }
-    }
-
-    /// A point-in-time snapshot of the listener's connection metrics.
-    fn stats(&self) -> ListenerStats {
-        match self {
-            SimListener::Threaded(l) => l.stats(),
-            SimListener::Reactor(l) => l.stats(),
-        }
-    }
-
-    /// The listener's public channel identity (`None` under `Plaintext`).
-    fn public_identity(&self) -> Option<[u8; 32]> {
-        match self {
-            SimListener::Threaded(l) => l.public_identity(),
-            SimListener::Reactor(l) => l.public_identity(),
         }
     }
 }
@@ -357,13 +295,12 @@ pub struct FlSimulation {
     /// socket to the loopback listener.
     ///
     /// Declared before `listener` on purpose: fields drop in declaration
-    /// order, so the endpoint's connection closes first and the listener's
-    /// connection thread exits before the listener joins it.
+    /// order, so the endpoint's connection closes before the listener
+    /// stops.
     protocol: Option<RegistrationRun<SimCoordinator>>,
     /// The loopback coordinator listener of a [`SecureMode::EncryptedTcp`]
-    /// run — threaded or reactor per [`ListenerKind`] (threads stop on
-    /// drop).
-    listener: Option<SimListener>,
+    /// run (its threads stop on drop).
+    listener: Option<ReactorListener<ShardedCoordinator>>,
 }
 
 impl FlSimulation {
@@ -456,7 +393,7 @@ impl FlSimulation {
     /// [`EncryptedTcp`](SecureMode::EncryptedTcp) run — `None` in the other
     /// modes (or before round 0 spawns the listener).
     pub fn listener_stats(&self) -> Option<ListenerStats> {
-        self.listener.as_ref().map(SimListener::stats)
+        self.listener.as_ref().map(ReactorListener::stats)
     }
 
     /// Resolves the configured slot width into a [`PackingPolicy`] for this
@@ -520,7 +457,6 @@ impl FlSimulation {
                     SecureMode::EncryptedTcp {
                         shards,
                         codec,
-                        listener,
                         channel,
                         ..
                     } => {
@@ -528,20 +464,10 @@ impl FlSimulation {
                         if let Some(policy) = packing {
                             coordinator = coordinator.with_packing(policy);
                         }
-                        let listener = match listener {
-                            ListenerKind::Threaded => {
-                                SimListener::Threaded(CoordinatorListener::spawn_with(
-                                    coordinator,
-                                    ListenerConfig::default().with_channel(channel),
-                                )?)
-                            }
-                            ListenerKind::Reactor => {
-                                SimListener::Reactor(ReactorListener::spawn_with(
-                                    coordinator,
-                                    ReactorConfig::default().with_channel(channel),
-                                )?)
-                            }
-                        };
+                        let listener = ReactorListener::spawn_with(
+                            coordinator,
+                            ReactorConfig::default().with_channel(channel),
+                        )?;
                         // Under Required the connector pins the identity the
                         // listener just minted — trust is established at
                         // spawn, not on first use.
@@ -1076,10 +1002,9 @@ mod tests {
     fn tcp_encrypted_mode_matches_the_in_memory_modes_end_to_end() {
         // The acceptance pin of the socket-backed mode: same seeds, same
         // selector — one run modeled, one through in-process actors, and one
-        // over loopback TCP against a 4-shard coordinator *per codec and per
-        // listener shape*. Training history and canonical ledger totals must
-        // be identical across all of them; only the measured frame bytes
-        // differ by codec (never by listener).
+        // over loopback TCP against a 4-shard coordinator *per codec*.
+        // Training history and canonical ledger totals must be identical
+        // across all of them; only the measured frame bytes differ by codec.
         let (client_data, test, dists) = build_federation(24, 10.0, 1.5, 9);
         let run_mode = |secure: SecureMode| {
             let selector = Box::new(DubheSelector::new(&dists, DubheConfig::group1()));
@@ -1109,23 +1034,13 @@ mod tests {
             key_bits: 256,
             shards: 4,
             codec: CodecKind::Json,
-            listener: ListenerKind::Threaded,
             packing: None,
             channel: ChannelPolicy::Plaintext,
         });
-        let (binary_hist, binary_ledger, _) = run_mode(SecureMode::EncryptedTcp {
+        let (binary_hist, binary_ledger, binary_stats) = run_mode(SecureMode::EncryptedTcp {
             key_bits: 256,
             shards: 4,
             codec: CodecKind::Binary,
-            listener: ListenerKind::Threaded,
-            packing: None,
-            channel: ChannelPolicy::Plaintext,
-        });
-        let (reactor_hist, reactor_ledger, reactor_stats) = run_mode(SecureMode::EncryptedTcp {
-            key_bits: 256,
-            shards: 4,
-            codec: CodecKind::Binary,
-            listener: ListenerKind::Reactor,
             packing: None,
             channel: ChannelPolicy::Plaintext,
         });
@@ -1136,18 +1051,10 @@ mod tests {
             binary_hist, json_hist,
             "codec choice must not change any decision"
         );
-        assert_eq!(
-            reactor_hist, binary_hist,
-            "the event-loop reactor must reproduce the threaded listener's decisions"
-        );
-        assert_eq!(
-            reactor_ledger, binary_ledger,
-            "listener shape must not change a single ledger byte"
-        );
-        // Both listener shapes expose the same metrics surface, and both saw
-        // the single persistent connector connection plus real frames.
+        // Both codecs' runs expose the listener's metrics, and both saw the
+        // single persistent connector connection plus real frames.
         assert!(modeled_stats.is_none(), "no listener in the modeled mode");
-        for stats in [&json_stats, &reactor_stats] {
+        for stats in [&json_stats, &binary_stats] {
             let stats = stats.as_ref().expect("socket-backed runs have stats");
             assert_eq!(stats.connections_accepted, 1);
             assert!(stats.frames_received > 0);
@@ -1196,8 +1103,8 @@ mod tests {
     #[test]
     fn authenticated_channel_leaves_every_ledger_byte_identical() {
         // The acceptance pin of the channel satellite: the same socket-backed
-        // simulation with the AEAD channel Required vs Plaintext — on both
-        // listener shapes — must produce bit-identical histories *and*
+        // simulation with the AEAD channel Required vs Plaintext must
+        // produce bit-identical histories *and*
         // bit-identical ledgers (canonical ciphertext bytes AND measured
         // wire-frame bytes, which meter the inner protocol frames, not the
         // seals). Authentication is pure armor: it changes what crosses the
@@ -1220,41 +1127,37 @@ mod tests {
             let stats = sim.listener_stats();
             (history, sim.ledger().clone(), stats)
         };
-        let tcp_mode = |listener, channel| SecureMode::EncryptedTcp {
+        let tcp_mode = |channel| SecureMode::EncryptedTcp {
             key_bits: 256,
             shards: 4,
             codec: CodecKind::Binary,
-            listener,
             packing: None,
             channel,
         };
 
-        for listener in [ListenerKind::Threaded, ListenerKind::Reactor] {
-            let (plain_hist, plain_ledger, _) =
-                run_mode(tcp_mode(listener, ChannelPolicy::Plaintext));
-            let (sealed_hist, sealed_ledger, sealed_stats) =
-                run_mode(tcp_mode(listener, ChannelPolicy::Required));
-            assert_eq!(
-                sealed_hist, plain_hist,
-                "{listener:?}: the channel must not change a single decision"
-            );
-            assert_eq!(
-                sealed_ledger, plain_ledger,
-                "{listener:?}: the channel must not change a single ledger byte"
-            );
-            let stats = sealed_stats.expect("socket-backed runs have stats");
-            assert_eq!(stats.handshakes_completed, 1, "{listener:?}");
-            assert_eq!(stats.handshakes_failed, 0, "{listener:?}");
-            assert_eq!(stats.aead_rejections, 0, "{listener:?}");
-            assert_eq!(stats.downgrades_refused, 0, "{listener:?}");
-        }
+        let (plain_hist, plain_ledger, _) = run_mode(tcp_mode(ChannelPolicy::Plaintext));
+        let (sealed_hist, sealed_ledger, sealed_stats) =
+            run_mode(tcp_mode(ChannelPolicy::Required));
+        assert_eq!(
+            sealed_hist, plain_hist,
+            "the channel must not change a single decision"
+        );
+        assert_eq!(
+            sealed_ledger, plain_ledger,
+            "the channel must not change a single ledger byte"
+        );
+        let stats = sealed_stats.expect("socket-backed runs have stats");
+        assert_eq!(stats.handshakes_completed, 1);
+        assert_eq!(stats.handshakes_failed, 0);
+        assert_eq!(stats.aead_rejections, 0);
+        assert_eq!(stats.downgrades_refused, 0);
     }
 
     #[test]
     fn packed_modes_match_unpacked_decisions_with_at_least_4x_fewer_ciphertext_bytes() {
         // The acceptance pin of the packed protocol: same seeds, same
         // selector — element-wise runs against 32-bit slot-packed runs,
-        // in-process and over loopback TCP under both listener shapes.
+        // in-process and over loopback TCP.
         // Every decision (selections, histories, epochs) must be identical;
         // only the ciphertext representation — and with it the canonical
         // uplink bytes and the measured frame bytes — shrinks, by at least
@@ -1291,26 +1194,17 @@ mod tests {
             key_bits: 256,
             shards: 4,
             codec: CodecKind::Binary,
-            listener: ListenerKind::Threaded,
             packing: None,
             channel: ChannelPolicy::Plaintext,
         });
-        let (tcp_packed_hist, tcp_packed_ledger, _) = run_mode(SecureMode::EncryptedTcp {
-            key_bits: 256,
-            shards: 4,
-            codec: CodecKind::Binary,
-            listener: ListenerKind::Threaded,
-            packing: Some(32),
-            channel: ChannelPolicy::Plaintext,
-        });
-        let (reactor_hist, reactor_ledger, reactor_stats) = run_mode(SecureMode::EncryptedTcp {
-            key_bits: 256,
-            shards: 4,
-            codec: CodecKind::Binary,
-            listener: ListenerKind::Reactor,
-            packing: Some(32),
-            channel: ChannelPolicy::Plaintext,
-        });
+        let (tcp_packed_hist, tcp_packed_ledger, tcp_packed_stats) =
+            run_mode(SecureMode::EncryptedTcp {
+                key_bits: 256,
+                shards: 4,
+                codec: CodecKind::Binary,
+                packing: Some(32),
+                channel: ChannelPolicy::Plaintext,
+            });
 
         assert_eq!(
             packed_hist, unpacked_hist,
@@ -1318,14 +1212,6 @@ mod tests {
         );
         assert_eq!(tcp_packed_hist, packed_hist, "nor over a real socket");
         assert_eq!(tcp_unpacked_hist, packed_hist);
-        assert_eq!(
-            reactor_hist, packed_hist,
-            "the reactor passes packed frames through untouched"
-        );
-        assert_eq!(
-            reactor_ledger, tcp_packed_ledger,
-            "listener shape must not change a single packed ledger byte"
-        );
 
         // The canonical uplink accounting shrinks at least 4x, identically
         // in-process and across the socket.
@@ -1350,9 +1236,9 @@ mod tests {
             tcp_unpacked_ledger.total_wire_frame_bytes()
         );
 
-        // The reactor really served the packed session: one persistent
+        // The listener really served the packed session: one persistent
         // connection, real frames, zero decode errors.
-        let stats = reactor_stats.expect("socket-backed runs have stats");
+        let stats = tcp_packed_stats.expect("socket-backed runs have stats");
         assert_eq!(stats.connections_accepted, 1);
         assert!(stats.frames_received > 0);
         assert_eq!(stats.frames_sent, stats.frames_received);

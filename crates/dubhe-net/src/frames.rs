@@ -20,7 +20,7 @@ use dubhe_select::protocol::WireMsg;
 use dubhe_select::ProtocolError;
 
 /// Magic (4) + big-endian payload length (4).
-const HEADER_BYTES: usize = 8;
+pub(crate) const HEADER_BYTES: usize = 8;
 
 /// Bytes of already-parsed prefix tolerated before the buffer compacts.
 const COMPACT_THRESHOLD: usize = 64 * 1024;

@@ -1,5 +1,5 @@
-//! The event-driven coordinator listener: one event-loop thread serving
-//! every connection, one router thread owning the coordinator.
+//! The coordinator listener: one event-loop thread serving every
+//! connection, one router thread owning the coordinator.
 //!
 //! ## Topology
 //!
@@ -22,10 +22,9 @@
 //! router never touches a socket. Decoded requests cross to the router over
 //! an mpsc channel; replies come back over a second channel, and the router
 //! rings the [`Waker`] so a poll blocked on quiet sockets picks them up
-//! immediately. Exactly the actor split of the thread-per-connection
-//! [`CoordinatorListener`](dubhe_select::protocol::tcp::CoordinatorListener)
-//! — ordering from channel FIFO, exclusivity from ownership — but with all
-//! connections multiplexed onto one thread, so 10⁴+ mostly-idle persistent
+//! immediately. Ordering comes from channel FIFO and exclusivity from
+//! ownership, so the coordinator needs no `Mutex`; and with every
+//! connection multiplexed onto one thread, 10⁴+ mostly-idle persistent
 //! clients cost file descriptors, not stacks.
 //!
 //! ## Flow control
@@ -38,17 +37,18 @@
 //! connection — it never buffers without bound and never blocks the event
 //! loop on one slow reader. A peer that stalls *mid-frame* on the read side
 //! is cut by [`ReactorConfig::read_timeout`], measured from its last byte of
-//! progress — identical semantics to the blocking listener's per-read
-//! timeout.
+//! progress; idleness *between* frames is never cut (a client may train for
+//! minutes between protocol rounds). Both a stall and a hangup mid-frame
+//! earn a best-effort typed error frame before the close.
 //!
 //! ## Authenticated channel
 //!
 //! Under [`ReactorConfig::channel`] = [`ChannelPolicy::Required`] every
-//! connection walks the same pre-protocol state machine as the threaded
-//! listener: a `Handshake` phase accepting nothing but `DBHS` frames (fed
-//! one payload at a time from readiness events, with the whole prelude
-//! under the read timeout so a handshake slow-loris is swept), then an
-//! `Established` phase accepting nothing but `DBHE` sealed frames.
+//! connection walks a pre-protocol state machine: a `Handshake` phase
+//! accepting nothing but `DBHS` frames (fed one payload at a time from
+//! readiness events, with the whole prelude under the read timeout so a
+//! handshake slow-loris is swept), then an `Established` phase accepting
+//! nothing but `DBHE` sealed frames.
 //! Plaintext protocol frames are refused as downgrade attempts in both
 //! phases, tampered or replayed seals earn typed errors sealed back before
 //! the hangup, and the router binds each `ClientId` to the first
@@ -57,9 +57,9 @@
 //!
 //! Because every coordinator fold is commutative (Montgomery-domain
 //! ciphertext multiplication), the ledgers this listener produces are
-//! bit-identical to the threaded listener's and the in-memory transport's,
-//! no matter how arrival order interleaves across connections — pinned by
-//! this crate's equivalence tests and `dubhe-fl`'s simulation suite.
+//! bit-identical to the in-memory transport's, no matter how arrival order
+//! interleaves across connections — pinned by this crate's equivalence
+//! tests and `dubhe-fl`'s simulation suite.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -72,18 +72,14 @@ use std::time::{Duration, Instant};
 use dubhe_select::protocol::channel::{ChannelFrame, ChannelPolicy, NodeIdentity, ServerHandshake};
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
-use dubhe_select::protocol::tcp::claimed_client;
 use dubhe_select::protocol::wire::{
     read_frame_lazy, write_frame_limited, LazyMsg, WireMsg, MAX_FRAME_BYTES,
 };
-use dubhe_select::protocol::Coordinator;
+use dubhe_select::protocol::{Coordinator, Party, DEFAULT_READ_TIMEOUT};
 use dubhe_select::{ClientId, ProtocolError};
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
 
-use crate::frames::FrameBuffer;
-
-/// Default mid-frame stall bound, matching the blocking listener.
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
+use crate::frames::{FrameBuffer, HEADER_BYTES};
 
 /// How long a poll sleeps when nothing bounds it sooner. Purely a liveness
 /// backstop (stop and replies both ring the waker); large enough to cost
@@ -95,11 +91,17 @@ const IDLE_POLL_BACKSTOP: Duration = Duration::from_millis(500);
 /// leftover), so one firehose connection cannot starve the rest.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// Knobs for the reactor listener, builder-style.
+/// Knobs for the coordinator listener, builder-style.
+///
+/// Defaults: [`DEFAULT_READ_TIMEOUT`] (30 s, shared with the client
+/// connector), the global [`MAX_FRAME_BYTES`] (64 MiB) ceiling, a
+/// `2 × MAX_FRAME_BYTES` write-queue bound, one `127.0.0.1:0` listen
+/// address, the platform's readiness backend and a plaintext channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Mid-frame read timeout, measured from a connection's last byte of
-    /// progress on an incomplete frame.
+    /// progress on an incomplete frame (and bounding the whole handshake
+    /// prelude under a `Required` channel).
     pub read_timeout: Duration,
     /// Largest frame payload accepted or produced.
     pub max_frame_bytes: usize,
@@ -122,8 +124,7 @@ pub struct ReactorConfig {
     /// before any protocol frame is accepted. Under
     /// [`ChannelPolicy::Required`] every connection starts in a
     /// pre-protocol phase speaking nothing but `DBHS` frames; after mutual
-    /// authentication completes, nothing but `DBHE` sealed frames — the
-    /// same state machine as the thread-per-connection listener.
+    /// authentication completes, nothing but `DBHE` sealed frames.
     pub channel: ChannelPolicy,
     /// The listener's static X25519 identity secret under a `Required`
     /// policy; `None` generates a fresh identity at spawn (readable via
@@ -223,9 +224,10 @@ struct Reply {
     started: Instant,
 }
 
-/// The event-driven multiplexed coordinator listener. Serves the same wire
-/// protocol as the thread-per-connection listener — same frames, same codec
-/// negotiation, same typed errors — from a single event-loop thread.
+/// The coordinator listener: serves the Dubhe wire protocol — `DBH1`/`DBH2`
+/// frames negotiated per connection from the frame magic, the optional
+/// authenticated channel, typed error replies — to every connection from a
+/// single event-loop thread, with one router thread owning the coordinator.
 #[derive(Debug)]
 pub struct ReactorListener<C: Coordinator + Send + 'static> {
     addrs: Vec<SocketAddr>,
@@ -340,8 +342,9 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
         self.public_identity
     }
 
-    /// A point-in-time [`ListenerStats`] snapshot — the same shape the
-    /// threaded listener reports, for like-for-like comparison.
+    /// A point-in-time [`ListenerStats`] snapshot: connection lifecycle,
+    /// per-direction frame/byte traffic, typed failures and the
+    /// request-latency distribution.
     pub fn stats(&self) -> ListenerStats {
         self.metrics.snapshot()
     }
@@ -372,20 +375,19 @@ impl<C: Coordinator + Send + 'static> Drop for ReactorListener<C> {
     }
 }
 
-/// The router thread: the sole owner of the coordinator. Identical message
-/// semantics to the threaded listener's router; bursts of queued jobs are
-/// answered with a single waker ring.
+/// The router thread: the sole owner of the coordinator. Bursts of queued
+/// jobs are answered with a single waker ring.
 fn route_jobs<C: Coordinator>(
     mut coordinator: C,
     rx: mpsc::Receiver<Job>,
     tx: mpsc::Sender<Reply>,
     waker: Arc<Waker>,
 ) -> C {
-    // Session-hijack refusal, identical to the threaded listener's router:
-    // the first authenticated identity to speak as a ClientId owns that id
-    // for the listener's lifetime. A different channel identity reusing the
-    // id gets a typed refusal before the coordinator ever sees the message;
-    // reconnects present the same identity and sail through.
+    // Session-hijack refusal: the first authenticated identity to speak as a
+    // ClientId owns that id for the listener's lifetime. A different channel
+    // identity reusing the id gets a typed refusal before the coordinator
+    // ever sees the message; reconnects present the same identity and sail
+    // through.
     let mut bindings: HashMap<ClientId, [u8; 32]> = HashMap::new();
     loop {
         let first = match rx.recv() {
@@ -446,8 +448,20 @@ fn route_jobs<C: Coordinator>(
     coordinator
 }
 
-/// Maps one request onto the [`Coordinator`] trait — the same dispatch the
-/// threaded listener performs, so both backends answer identically.
+/// The `ClientId` a request speaks *as*, if any — what the router's
+/// session-hijack binding keys on.
+fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
+    match msg {
+        LazyMsg::DeferredRegistry(frame) => Some(frame.client()),
+        LazyMsg::Eager(WireMsg::Envelope { envelope }) => match envelope.from {
+            Party::Client(id) => Some(id),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Maps one request onto the [`Coordinator`] trait.
 fn route_msg<C: Coordinator>(coordinator: &mut C, msg: LazyMsg) -> WireMsg {
     let batch_or_error = |r: Result<Vec<dubhe_select::protocol::Envelope>, ProtocolError>| match r {
         Ok(envelopes) => WireMsg::Batch { envelopes },
@@ -538,6 +552,26 @@ struct Conn {
     closing: bool,
     /// Whether the current registration includes WRITABLE.
     wants_write: bool,
+}
+
+/// Best-effort courtesy notice before a hangup the peer did not ask for: one
+/// nonblocking write of a typed error frame, sealed on an established
+/// channel (the peer only accepts sealed frames there). Skipped when the
+/// connection is already closing or has replies queued, so it can never
+/// split a frame already on its way out.
+fn send_notice(conn: &mut Conn, detail: String, max_frame_bytes: usize) {
+    if conn.closing || conn.out_pos != conn.out.len() {
+        return;
+    }
+    let notice = WireMsg::Error { detail };
+    let mut buf = Vec::new();
+    if write_frame_limited(&mut buf, &notice, conn.codec, max_frame_bytes).is_ok() {
+        let bytes = match &mut conn.phase {
+            ConnPhase::Established(channel) => channel.seal_frame(&buf),
+            _ => buf,
+        };
+        let _ = conn.stream.write(&bytes);
+    }
 }
 
 /// Why the event loop dropped a connection — decides which failure counter
@@ -715,14 +749,20 @@ impl EventLoop {
         }
         self.parse_frames(token, progressed);
         if eof {
-            let reason = if self
-                .conns
-                .get(&token)
-                .is_some_and(|c| c.frames.is_mid_frame())
-            {
-                CloseReason::Truncated
-            } else {
-                CloseReason::Clean
+            let reason = match self.conns.get_mut(&token) {
+                Some(conn) if conn.frames.is_mid_frame() => {
+                    // A hangup mid-frame may be a half-close: the peer can
+                    // still read why its frame was refused.
+                    let context = if conn.frames.pending_bytes() < HEADER_BYTES {
+                        "header"
+                    } else {
+                        "payload"
+                    };
+                    let detail = ProtocolError::TruncatedFrame { context }.to_string();
+                    send_notice(conn, detail, self.config.max_frame_bytes);
+                    CloseReason::Truncated
+                }
+                _ => CloseReason::Clean,
             };
             self.close_conn(token, reason);
         }
@@ -733,8 +773,8 @@ impl EventLoop {
     /// the connection's channel phase: plaintext connections pull protocol
     /// frames directly, handshake-phase connections feed the server
     /// handshake state machine, established connections unseal `DBHE`
-    /// frames first — each phase refusing the other phases' traffic with
-    /// the same typed errors the threaded listener produces.
+    /// frames first — each phase refusing the other phases' traffic with a
+    /// typed error.
     fn parse_frames(&mut self, token: usize, progressed: bool) {
         loop {
             let again = match self.conns.get_mut(&token) {
@@ -794,7 +834,7 @@ impl EventLoop {
             }
             Err(e) => {
                 // Framing is lost: report in the last good codec, flush,
-                // hang up — the blocking listener's exact contract.
+                // hang up.
                 self.metrics.decode_error();
                 let codec = conn.codec;
                 conn.closing = true;
@@ -969,8 +1009,7 @@ impl EventLoop {
 
     /// Maintains the stall deadline after a pull came up short. A
     /// handshake-phase connection keeps a deadline even with an empty
-    /// buffer — the whole prelude runs under the read timeout, exactly like
-    /// the threaded listener's blocking prelude.
+    /// buffer — the whole prelude runs under the read timeout.
     fn update_deadline(&mut self, token: usize, progressed: bool) {
         let read_timeout = self.config.read_timeout;
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -1039,7 +1078,7 @@ impl EventLoop {
     /// Appends pre-encoded bytes (handshake replies) to a connection's
     /// write queue. They advance the cumulative offsets but carry no
     /// [`PendingSend`] entry: handshake traffic is not a protocol frame and
-    /// is not counted as one — same accounting as the threaded listener.
+    /// is not counted as one.
     fn queue_bytes(&mut self, token: usize, bytes: &[u8]) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1065,8 +1104,7 @@ impl EventLoop {
     /// Encodes a frame into a connection's write queue, flushes what the
     /// socket will take, and enforces the high-water mark. On an
     /// established channel the encoded frame is sealed into a `DBHE` frame
-    /// first; metrics count the sealed bytes, exactly like the threaded
-    /// listener's sealed reply path.
+    /// first; metrics count the sealed bytes.
     fn queue_frame(
         &mut self,
         token: usize,
@@ -1209,8 +1247,7 @@ impl EventLoop {
     }
 
     /// Cuts connections that stalled mid-frame past the read timeout,
-    /// telling the peer why first (best-effort, one nonblocking write) —
-    /// the same courtesy the blocking listener extends before hanging up.
+    /// telling the peer why first.
     fn sweep_stalled(&mut self) {
         let now = Instant::now();
         let stalled: Vec<usize> = self
@@ -1233,19 +1270,7 @@ impl EventLoop {
                         self.config.read_timeout
                     )
                 };
-                let notice = WireMsg::Error { detail };
-                let mut buf = Vec::new();
-                if write_frame_limited(&mut buf, &notice, conn.codec, self.config.max_frame_bytes)
-                    .is_ok()
-                {
-                    // An established peer only accepts sealed frames; the
-                    // courtesy notice must arrive in one it can open.
-                    let bytes = match &mut conn.phase {
-                        ConnPhase::Established(channel) => channel.seal_frame(&buf),
-                        _ => buf,
-                    };
-                    let _ = conn.stream.write(&bytes);
-                }
+                send_notice(conn, detail, self.config.max_frame_bytes);
             }
             self.close_conn(token, CloseReason::Truncated);
         }
@@ -1257,8 +1282,7 @@ impl EventLoop {
         };
         let _ = self.registry.deregister(&conn.stream);
         // A connection that dies before mutual authentication completes is
-        // a failed handshake, whatever killed it — the same accounting the
-        // threaded prelude's error path produces.
+        // a failed handshake, whatever killed it.
         if matches!(conn.phase, ConnPhase::Handshake(_)) {
             self.metrics.handshake_failed();
         }

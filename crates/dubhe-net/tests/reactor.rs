@@ -4,8 +4,7 @@
 //! registration + multi-time session served by the [`ReactorListener`] must
 //! be *bit-identical* — same decrypted overall registry, same ciphertext
 //! residues, same verdict, same canonical accounting — to the in-memory
-//! coordinator and the thread-per-connection listener, on both readiness
-//! backends. And every abuse a socket can deliver (garbage, mid-frame
+//! coordinator, on both readiness backends. And every abuse a socket can deliver (garbage, mid-frame
 //! stalls, a reader that stops reading) must surface as typed flow control,
 //! never a panic or a hang.
 
@@ -17,9 +16,9 @@ use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator,
-    CoordinatorListener, Envelope, InMemoryTransport, Party, ProtocolMsg, ShardedCoordinator,
-    TcpConfig, TcpTransport, TransportStats, WireMsg,
+    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
+    InMemoryTransport, Party, ProtocolMsg, ShardedCoordinator, TcpConfig, TcpTransport,
+    TransportStats, WireMsg,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector};
 use mini_mio::Backend;
@@ -91,22 +90,12 @@ fn verdict_envelope(best_try: usize) -> WireMsg {
 }
 
 #[test]
-fn reactor_session_is_bit_identical_to_memory_and_threaded_listener() {
+fn reactor_session_is_bit_identical_to_memory_on_both_backends() {
     let dists = clients(20, 81);
 
     let (overall_mem, verdict_mem, stats_mem, server) =
         drive_session(&dists, 82, dubhe_select::CoordinatorServer::new(20));
     let total_mem = server.encrypted_total().expect("epoch complete");
-
-    // The threaded listener's result, as the middle reference point.
-    let threaded = CoordinatorListener::spawn(ShardedCoordinator::new(20, 2)).unwrap();
-    let endpoint = TcpTransport::connect_with_codec(threaded.addr(), CodecKind::Binary).unwrap();
-    let (overall_thr, verdict_thr, stats_thr, endpoint) = drive_session(&dists, 82, endpoint);
-    endpoint.shutdown().unwrap();
-    let threaded_state = threaded.shutdown().expect("listener state");
-    assert_eq!(overall_thr, overall_mem);
-    assert_eq!(verdict_thr, verdict_mem);
-    assert_eq!(stats_thr, stats_mem);
 
     // The reactor must match on both readiness backends.
     for backend in [Backend::Epoll, Backend::Portable] {
@@ -144,15 +133,14 @@ fn reactor_session_is_bit_identical_to_memory_and_threaded_listener() {
         assert!(listener_stats.latency.count > 0, "{backend:?}");
 
         let state = reactor.shutdown().expect("listener state");
-        // Bit-identical ciphertext folds, element by element, against both
-        // references.
+        // Bit-identical ciphertext folds, element by element.
         let total = state.encrypted_total().expect("epoch complete");
         assert_eq!(total.len(), total_mem.len());
         for (a, b) in total.elements().iter().zip(total_mem.elements()) {
             assert_eq!(a.raw(), b.raw(), "{backend:?}: fold diverged from memory");
         }
         assert_eq!(state.messages_received(), server.messages_received());
-        assert_eq!(state.bytes_received(), threaded_state.bytes_received());
+        assert_eq!(state.bytes_received(), server.bytes_received());
         assert_eq!(state.last_verdict(), Some(verdict_mem));
     }
 }
@@ -327,13 +315,31 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
         }
         drop(silent);
 
+        // The refused and swept peers held nothing: an honest client
+        // authenticates and is served.
+        let pin = reactor.public_identity().expect("identity resolved");
+        let mut honest = TcpTransport::connect_with_config(
+            reactor.addr(),
+            TcpConfig::default()
+                .with_read_timeout(Duration::from_secs(5))
+                .with_channel(ChannelPolicy::Required)
+                .with_expected_server(pin),
+        )
+        .unwrap();
+        honest
+            .announce_try(0, &[1])
+            .expect("an honest sealed client is served");
+
         let stats = reactor.stats();
         assert_eq!(stats.downgrades_refused, 1, "{backend:?}");
         assert_eq!(
             stats.handshakes_failed, 3,
             "{backend:?}: downgrade + loris + silent"
         );
-        assert_eq!(stats.handshakes_completed, 0, "{backend:?}");
+        assert_eq!(
+            stats.handshakes_completed, 1,
+            "{backend:?}: the honest client"
+        );
         assert!(reactor.shutdown().is_some());
     }
 }

@@ -95,54 +95,9 @@
 //! assert_eq!(run.overall_registry().iter().sum::<u64>(), 24);
 //! ```
 //!
-//! ## Example: the identical exchange over loopback TCP
-//!
-//! [`TcpTransport`] connects the same driver slot to a
-//! [`CoordinatorListener`] across real sockets — length-prefixed frames,
-//! a mutex-free multi-threaded listener, typed errors on every failure
-//! mode:
-//!
-//! ```
-//! use dubhe_data::federated::{DatasetFamily, FederatedSpec};
-//! use dubhe_select::protocol::{
-//!     run_registration_with, CoordinatorListener, InMemoryTransport, ShardedCoordinator,
-//!     TcpTransport,
-//! };
-//! use dubhe_select::DubheConfig;
-//! use rand::SeedableRng;
-//!
-//! let spec = FederatedSpec {
-//!     family: DatasetFamily::MnistLike,
-//!     rho: 10.0,
-//!     emd_avg: 1.5,
-//!     clients: 24,
-//!     samples_per_client: 50,
-//!     test_samples_per_class: 1,
-//!     seed: 5,
-//! };
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-//! let dists = spec.build_partition(&mut rng).client_distributions();
-//!
-//! // Server side: a sharded coordinator behind an ephemeral loopback port.
-//! let listener = CoordinatorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
-//! // Client side: the connector fills the same coordinator slot.
-//! let endpoint = TcpTransport::connect(listener.addr()).unwrap();
-//!
-//! let mut transport = InMemoryTransport::new();
-//! let run = run_registration_with(
-//!     &dists,
-//!     &DubheConfig::group1(),
-//!     dubhe_he::TEST_KEY_BITS,
-//!     endpoint,
-//!     &mut transport,
-//!     &mut rng,
-//! )
-//! .unwrap();
-//! assert_eq!(run.overall_registry().iter().sum::<u64>(), 24);
-//! // Real frames crossed the socket.
-//! assert!(run.server.wire_stats().total_bytes() > 0);
-//! run.server.shutdown().unwrap();
-//! ```
+//! The identical exchange over loopback TCP — [`TcpTransport`] in the
+//! driver slot, `dubhe-net`'s `ReactorListener` serving the coordinator —
+//! is the example in the `dubhe-net` crate docs.
 
 pub mod codebook;
 pub mod config;
@@ -168,8 +123,8 @@ pub use multi_time::{
 pub use param_search::{parameter_search, SearchGrid, SearchOutcome};
 pub use probability::participation_probability;
 pub use protocol::{
-    AgentNode, Coordinator, CoordinatorListener, CoordinatorServer, InMemoryTransport, Party,
-    ProtocolMsg, SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
+    AgentNode, Coordinator, CoordinatorServer, InMemoryTransport, Party, ProtocolMsg,
+    SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
 };
 pub use registry::{register, register_all, register_all_encrypted, Registration};
 pub use secure::{

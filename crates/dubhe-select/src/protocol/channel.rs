@@ -464,8 +464,7 @@ pub fn client_handshake<S: Read + Write>(
 
 /// The server side of the handshake as an explicit state machine, so the
 /// event-driven reactor can feed it one `DBHS` payload at a time from
-/// readiness events. The threaded listener wraps it in
-/// [`server_handshake_blocking`].
+/// readiness events.
 pub struct ServerHandshake {
     identity: NodeIdentity,
     state: ServerHandshakeState,
@@ -567,45 +566,6 @@ impl ServerHandshake {
             ServerHandshakeState::Done => Err(ProtocolError::AuthFailure {
                 detail: "handshake message after the handshake completed".to_string(),
             }),
-        }
-    }
-}
-
-/// Runs the server side of the handshake over a blocking stream (the
-/// threaded listener's prelude). Plaintext protocol frames during the
-/// handshake are refused as downgrade attempts.
-pub fn server_handshake_blocking<S: Read + Write>(
-    stream: &mut S,
-    identity: NodeIdentity,
-    max_frame_bytes: usize,
-) -> Result<SecureChannel, ProtocolError> {
-    let mut hs = ServerHandshake::new(identity);
-    loop {
-        let (frame, _) = read_channel_frame(stream, max_frame_bytes)?;
-        let payload = match frame {
-            ChannelFrame::Handshake(payload) => payload,
-            ChannelFrame::Plaintext { frame, .. } => {
-                return Err(ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                })
-            }
-            ChannelFrame::Sealed(_) => {
-                return Err(ProtocolError::AuthFailure {
-                    detail: "sealed frame before the handshake finished".to_string(),
-                })
-            }
-        };
-        let step = hs.on_payload(&payload)?;
-        if let Some(reply) = step.reply {
-            stream
-                .write_all(&reply)
-                .map_err(|e| io_error("write handshake frame", e))?;
-            stream
-                .flush()
-                .map_err(|e| io_error("write handshake frame", e))?;
-        }
-        if let Some(channel) = step.established {
-            return Ok(channel);
         }
     }
 }

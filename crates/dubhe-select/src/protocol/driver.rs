@@ -133,8 +133,8 @@ where
 /// [`run_registration`] with a caller-supplied coordinator slot: a
 /// [`ShardedCoordinator`](super::shard::ShardedCoordinator) for partitioned
 /// folds, or a [`TcpTransport`](super::tcp::TcpTransport) to drive the
-/// identical exchange against a remote
-/// [`CoordinatorListener`](super::tcp::CoordinatorListener).
+/// identical exchange against a remote coordinator listener (`dubhe-net`'s
+/// `ReactorListener`).
 ///
 /// The supplied coordinator must expect `client_distributions.len()`
 /// registrations. Returns the completed actors with the coordinator slot

@@ -61,12 +61,13 @@
 //! * [`CoordinatorServer`] — the single in-process fold;
 //! * [`ShardedCoordinator`] — registry positions partitioned across N shard
 //!   folds that advance rayon-parallel and merge into a bit-identical total;
-//! * [`TcpTransport`] → [`CoordinatorListener`] — the same messages as
-//!   length-prefixed frames (see [`wire`]) over real loopback sockets, served
-//!   by a mutex-free multi-threaded listener. The frame payload codec is
-//!   pluggable (see [`codec`]): `DBH1` JSON for compatibility, `DBH2`
-//!   canonical binary for wire traffic within 1.10× of the paper's
-//!   communication model, negotiated per connection from the frame magic.
+//! * [`TcpTransport`] → `dubhe-net`'s `ReactorListener` — the same messages
+//!   as length-prefixed frames (see [`wire`]) over real loopback sockets,
+//!   served by one event-loop thread in front of a router thread that alone
+//!   owns the coordinator. The frame payload codec is pluggable (see
+//!   [`codec`]): `DBH1` JSON for compatibility, `DBH2` canonical binary for
+//!   wire traffic within 1.10× of the paper's communication model,
+//!   negotiated per connection from the frame magic.
 //!
 //! `docs/ARCHITECTURE.md` draws the full picture; `docs/THREAT_MODEL.md`
 //! explains why all three shapes uphold the same structural guarantee.
@@ -112,10 +113,7 @@ pub use packing::PackingPolicy;
 pub use roles::{AgentNode, CohortOutcome, Coordinator, CoordinatorServer, SelectClientNode};
 pub use shard::{shard_ranges, ShardedCoordinator};
 pub use stats::{LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
-pub use tcp::{
-    claimed_client, CoordinatorListener, ListenerConfig, TcpConfig, TcpTransport, WireStats,
-    DEFAULT_READ_TIMEOUT,
-};
+pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{
     read_frame, read_frame_lazy, read_frame_limited, read_frame_negotiated, write_frame,

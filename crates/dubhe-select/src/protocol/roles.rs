@@ -47,7 +47,7 @@ use crate::selector::ClientId;
 ///   positions partitioned across N shard folds, merged on completion;
 /// * [`TcpTransport`](crate::protocol::TcpTransport) — a client-side
 ///   connector that carries every server-bound message over a framed TCP
-///   stream to a remote [`CoordinatorListener`](crate::protocol::CoordinatorListener).
+///   stream to a remote coordinator listener (`dubhe-net`'s `ReactorListener`).
 ///
 /// The drivers ([`pump`](crate::protocol::pump),
 /// [`run_registration_with`](crate::protocol::run_registration_with),

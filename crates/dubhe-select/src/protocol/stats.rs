@@ -1,18 +1,16 @@
 //! Shared listener observability: per-connection codec/latency metrics and
 //! the [`ListenerStats`] snapshot API.
 //!
-//! Both coordinator listeners — the thread-per-connection
-//! [`CoordinatorListener`](super::tcp::CoordinatorListener) and `dubhe-net`'s
-//! event-driven `ReactorListener` — record into the same
-//! [`ListenerMetrics`] recorder and publish the same [`ListenerStats`]
-//! snapshot, so a bench (`load_gen` → `results/BENCH_net.json`) can compare
-//! the two architectures like-for-like: frames and bytes in each direction,
-//! decode failures, write-queue high-water marks, and a per-request latency
-//! histogram (decode → reply handed to the socket).
+//! The coordinator listener (`dubhe-net`'s event-driven `ReactorListener`)
+//! records into a [`ListenerMetrics`] recorder and publishes
+//! [`ListenerStats`] snapshots, which benches (`load_gen` →
+//! `results/BENCH_net.json`, `perfbench`) read: frames and bytes in each
+//! direction, decode failures, write-queue high-water marks, and a
+//! per-request latency histogram (decode → reply handed to the socket).
 //!
 //! The recorder is all atomics plus one mutex around the latency histogram —
 //! observability only, never on the coordinator-state path, so the
-//! "mutex-free protocol state" property of both listeners is untouched.
+//! "mutex-free protocol state" property of the listener is untouched.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;

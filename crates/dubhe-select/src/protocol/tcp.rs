@@ -1,65 +1,40 @@
-//! The networked transport: framed TCP sockets between clients and the
-//! coordinator.
+//! The client side of the networked transport: framed TCP sockets from a
+//! driver to the coordinator.
 //!
-//! Two halves, both std-only (no async runtime — the build environment is
-//! offline, and `std::net` is all the exchange needs):
+//! [`TcpTransport`] plugs into the same driver slot as a local
+//! [`CoordinatorServer`](super::roles::CoordinatorServer) (the
+//! [`Coordinator`] trait), so `AgentNode` and `SelectClientNode` drive the
+//! *identical* [`ProtocolMsg`](super::message::ProtocolMsg) exchange whether
+//! the coordinator is an in-process struct or a process across the network.
+//! Every server-bound envelope becomes one framed request; the coordinator's
+//! reply batch is returned to the driver for local delivery. The connector
+//! is std-only (no async runtime — the build environment is offline, and
+//! `std::net` is all one connection needs).
 //!
-//! * [`TcpTransport`] — the client-side connector. It plugs into the same
-//!   driver slot as a local
-//!   [`CoordinatorServer`](super::roles::CoordinatorServer) (the
-//!   [`Coordinator`] trait), so `AgentNode` and `SelectClientNode` drive the *identical*
-//!   [`ProtocolMsg`](super::message::ProtocolMsg) exchange whether the
-//!   coordinator is an in-process struct or a process across the network.
-//!   Every server-bound envelope becomes one framed request; the
-//!   coordinator's reply batch is returned to the driver for local delivery.
-//! * [`CoordinatorListener`] — the server side: a multi-threaded loopback
-//!   listener that accepts any number of concurrent connections and serves a
-//!   [`ShardedCoordinator`] behind a *mutex-free* actor: connection threads
-//!   do I/O only and forward requests over channels to a single router
-//!   thread that owns the coordinator state (shard parallelism happens
-//!   inside the fold, via rayon). No `Mutex` anywhere — ordering is the
-//!   channel's FIFO, which makes a single-connection session byte-for-byte
-//!   deterministic.
+//! The server side is `dubhe-net`'s `ReactorListener`: one event-loop
+//! thread multiplexing every connection, one router thread owning the
+//! coordinator state.
 //!
 //! Robustness contract (pinned by tests): a malformed, truncated or
 //! oversized frame, a mid-exchange disconnect, or a silent peer all surface
-//! as [`ProtocolError`] — never a panic, never an unbounded hang. Client
-//! reads are bounded by a read timeout; the listener *parks* each idle
-//! connection on a plain blocking read (an idle client between rounds is
-//! healthy, and a parked thread costs zero CPU), wakes the parked reads by
-//! shutting the sockets down when the listener stops, and applies the
-//! timeout once a frame has started.
-//!
-//! Every connection records into a shared [`ListenerMetrics`] — frames and
-//! bytes per direction, decode failures, request latency — surfaced through
-//! [`CoordinatorListener::stats`] in the same [`ListenerStats`] shape as
-//! `dubhe-net`'s reactor listener, so the two architectures are directly
-//! comparable in `results/BENCH_net.json`.
+//! as [`ProtocolError`] — never a panic, never an unbounded hang. Every read
+//! of a reply is bounded by [`TcpConfig::read_timeout`].
 
-use std::collections::HashMap;
-use std::io::{BufReader, ErrorKind};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use super::channel::{
-    client_handshake, read_channel_frame, secret_bytes_from_seed, server_handshake_blocking,
-    ChannelFrame, ChannelPolicy, NodeIdentity, RetrySchedule, SecureChannel, HANDSHAKE_WIRE_BYTES,
+    client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame, ChannelPolicy,
+    NodeIdentity, RetrySchedule, SecureChannel, HANDSHAKE_WIRE_BYTES,
 };
 use super::codec::CodecKind;
-use super::message::{Envelope, Party};
+use super::message::Envelope;
 use super::roles::Coordinator;
-use super::shard::ShardedCoordinator;
-use super::stats::{ListenerMetrics, ListenerStats};
 use super::transport::TransportStats;
-use super::wire::{
-    read_frame_lazy, read_frame_limited, write_frame_limited, LazyMsg, WireMsg, MAX_FRAME_BYTES,
-};
+use super::wire::{read_frame_limited, write_frame_limited, WireMsg, MAX_FRAME_BYTES};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
 
@@ -179,82 +154,6 @@ impl TcpConfig {
     }
 }
 
-/// Socket knobs for the listener, builder-style.
-///
-/// Defaults: [`DEFAULT_READ_TIMEOUT`] (30 s) once a frame has started and
-/// the global [`MAX_FRAME_BYTES`] (64 MiB) ceiling on accepted payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ListenerConfig {
-    /// Mid-frame read timeout (a peer that stalls inside a frame is cut).
-    pub read_timeout: Duration,
-    /// Retained for API compatibility: idle connections used to wake every
-    /// `idle_poll` to check the stop flag. They now park on a blocking read
-    /// (zero CPU while idle) and are woken by socket shutdown, so this knob
-    /// no longer affects serving.
-    pub idle_poll: Duration,
-    /// Largest frame payload a connection will accept.
-    pub max_frame_bytes: usize,
-    /// Whether connections must run the authenticated channel handshake
-    /// before any protocol frame (default: [`ChannelPolicy::Plaintext`]).
-    /// Under `Required`, plaintext protocol frames are refused as downgrade
-    /// attempts at every phase of the connection.
-    pub channel: ChannelPolicy,
-    /// Static-secret bytes of the listener's long-term identity. `None`
-    /// with a `Required` policy generates a fresh identity at spawn (fine
-    /// for tests; deployments pin a stable one so clients can pin it back).
-    pub identity: Option<[u8; 32]>,
-}
-
-impl Default for ListenerConfig {
-    fn default() -> Self {
-        ListenerConfig {
-            read_timeout: DEFAULT_READ_TIMEOUT,
-            idle_poll: IDLE_POLL,
-            max_frame_bytes: MAX_FRAME_BYTES,
-            channel: ChannelPolicy::Plaintext,
-            identity: None,
-        }
-    }
-}
-
-impl ListenerConfig {
-    /// Replaces the mid-frame read timeout.
-    pub fn with_read_timeout(mut self, read_timeout: Duration) -> Self {
-        self.read_timeout = read_timeout;
-        self
-    }
-
-    /// Replaces the idle stop-flag poll period.
-    pub fn with_idle_poll(mut self, idle_poll: Duration) -> Self {
-        self.idle_poll = idle_poll;
-        self
-    }
-
-    /// Replaces the frame-payload ceiling.
-    pub fn with_max_frame_bytes(mut self, max_frame_bytes: usize) -> Self {
-        self.max_frame_bytes = max_frame_bytes;
-        self
-    }
-
-    /// Replaces the channel policy.
-    pub fn with_channel(mut self, channel: ChannelPolicy) -> Self {
-        self.channel = channel;
-        self
-    }
-
-    /// Installs a deterministic listener identity derived from `seed`.
-    pub fn with_identity_seed(mut self, seed: u64) -> Self {
-        self.identity = Some(secret_bytes_from_seed(seed));
-        self
-    }
-
-    /// Installs explicit identity static-secret bytes.
-    pub fn with_identity_bytes(mut self, bytes: [u8; 32]) -> Self {
-        self.identity = Some(bytes);
-        self
-    }
-}
-
 /// Real bytes and frames observed on one socket (header + payload, both
 /// directions). This is what a deployment actually pays on the wire —
 /// framing and payload encoding included — as opposed to the canonical
@@ -309,8 +208,8 @@ fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
 }
 
 /// The client-side connector: carries server-bound protocol messages over a
-/// framed TCP stream to a [`CoordinatorListener`] and hands the coordinator's
-/// replies back to the driver.
+/// framed TCP stream to the coordinator's listener and hands the
+/// coordinator's replies back to the driver.
 ///
 /// Implements [`Coordinator`], so it drops into
 /// [`run_registration_with`](super::driver::run_registration_with) /
@@ -675,768 +574,11 @@ impl Coordinator for TcpTransport {
     }
 }
 
-/// A request forwarded from a connection thread to the router thread.
-/// `DBH2` registry uploads travel as [`LazyMsg::DeferredRegistry`] — raw
-/// payload bytes the router folds through a borrowed view instead of
-/// materialising per-element ciphertexts on the connection thread.
-struct RouterRequest {
-    msg: LazyMsg,
-    /// The authenticated channel identity of the connection this request
-    /// arrived on, when it ran the handshake. The router binds each
-    /// `ClientId` to the first identity that speaks for it and refuses a
-    /// different identity reusing the same id (session hijack).
-    identity: Option<[u8; 32]>,
-    reply: mpsc::Sender<WireMsg>,
-}
-
-/// The `ClientId` a request speaks *as*, if any — what the router's
-/// identity-binding check keys on. Public so the event-driven listener in
-/// `dubhe-net` can enforce the identical session-hijack refusal.
-pub fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
-    match msg {
-        LazyMsg::DeferredRegistry(frame) => Some(frame.client()),
-        LazyMsg::Eager(WireMsg::Envelope { envelope }) => match envelope.from {
-            Party::Client(id) => Some(id),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// The multi-threaded coordinator listener.
-///
-/// Topology: one accept thread, one I/O thread per connection, one router
-/// thread owning the [`ShardedCoordinator`]. Connection threads never touch
-/// coordinator state — they forward each decoded [`WireMsg`] over an mpsc
-/// channel and relay the router's reply — so the whole server is mutex-free:
-/// exclusivity comes from ownership, ordering from channel FIFO, and shard
-/// parallelism from rayon inside the fold itself.
-#[derive(Debug)]
-pub struct CoordinatorListener {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    router_thread: Option<JoinHandle<ShardedCoordinator>>,
-    metrics: Arc<ListenerMetrics>,
-    /// Clones of every live connection's stream, keyed by connection id.
-    /// Idle connections park on a blocking read; shutting these sockets
-    /// down is what wakes them when the listener stops.
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    /// The listener's public channel identity, when it requires the
-    /// authenticated channel — what clients pin via
-    /// [`TcpConfig::with_expected_server`].
-    public_identity: Option<[u8; 32]>,
-}
-
-impl CoordinatorListener {
-    /// Binds an ephemeral loopback port and starts serving `coordinator`
-    /// with the [`ListenerConfig`] defaults.
-    pub fn spawn(coordinator: ShardedCoordinator) -> Result<Self, ProtocolError> {
-        CoordinatorListener::spawn_with(coordinator, ListenerConfig::default())
-    }
-
-    /// [`spawn`](Self::spawn) with every socket knob spelled out.
-    pub fn spawn_with(
-        coordinator: ShardedCoordinator,
-        config: ListenerConfig,
-    ) -> Result<Self, ProtocolError> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| io_error("bind", e))?;
-        let addr = listener.local_addr().map_err(|e| io_error("bind", e))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(ListenerMetrics::new());
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        // Resolve the channel identity once at spawn so every connection
-        // handshakes as the same server (and so clients can pin it).
-        let identity = config.channel.is_required().then(|| match config.identity {
-            Some(bytes) => NodeIdentity::from_secret_bytes(bytes),
-            None => NodeIdentity::generate(),
-        });
-        let public_identity = identity.as_ref().map(|id| id.public_bytes());
-
-        // The accept thread owns the only long-lived Sender; when it exits
-        // (joining every connection thread first) the channel hangs up and
-        // the router ends with it — no explicit stop message needed.
-        let (router_tx, router_rx) = mpsc::channel::<RouterRequest>();
-        let router_thread = std::thread::spawn(move || route(coordinator, router_rx));
-
-        let accept_stop = Arc::clone(&stop);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::spawn(move || {
-            let mut connections: Vec<JoinHandle<()>> = Vec::new();
-            // Finished-thread reaping is amortized: sweeping on every accept
-            // is O(live + dead) per connection — quadratic over a churny
-            // session — so sweep only when the list doubles past the last
-            // high-water mark, making the total reaping work O(n log n).
-            let mut reap_watermark: usize = 64;
-            let mut next_id: u64 = 0;
-            for stream in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                // A failed accept is one connection's problem, never the
-                // listener's: log it and keep serving everyone else.
-                let stream = match stream {
-                    Ok(stream) => stream,
-                    Err(e) => {
-                        eprintln!("coordinator listener: accept failed, continuing: {e}");
-                        continue;
-                    }
-                };
-                // Register a clone so shutdown can wake the parked read. A
-                // connection we cannot register would be unwakeable — refuse
-                // it rather than risk a hung shutdown.
-                let clone = match stream.try_clone() {
-                    Ok(clone) => clone,
-                    Err(e) => {
-                        eprintln!("coordinator listener: clone failed, refusing connection: {e}");
-                        continue;
-                    }
-                };
-                let conn_id = next_id;
-                next_id += 1;
-                accept_conns
-                    .lock()
-                    .expect("connection registry poisoned")
-                    .insert(conn_id, clone);
-                if connections.len() >= reap_watermark {
-                    connections.retain(|c| !c.is_finished());
-                    reap_watermark = (connections.len() * 2).max(64);
-                }
-                accept_metrics.connection_opened();
-                let router = router_tx.clone();
-                let conn_stop = Arc::clone(&accept_stop);
-                let conn_metrics = Arc::clone(&accept_metrics);
-                let conn_registry = Arc::clone(&accept_conns);
-                let conn_identity = identity.clone();
-                connections.push(std::thread::spawn(move || {
-                    serve_connection(
-                        stream,
-                        router,
-                        conn_stop,
-                        config,
-                        conn_identity,
-                        &conn_metrics,
-                    );
-                    conn_registry
-                        .lock()
-                        .expect("connection registry poisoned")
-                        .remove(&conn_id);
-                    conn_metrics.connection_closed();
-                }));
-            }
-            for c in connections {
-                let _ = c.join();
-            }
-        });
-
-        Ok(CoordinatorListener {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            router_thread: Some(router_thread),
-            metrics,
-            conns,
-            public_identity,
-        })
-    }
-
-    /// The loopback address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The listener's public channel identity (present iff the config's
-    /// policy is [`ChannelPolicy::Required`]); clients pin it via
-    /// [`TcpConfig::with_expected_server`].
-    pub fn public_identity(&self) -> Option<[u8; 32]> {
-        self.public_identity
-    }
-
-    /// A point-in-time snapshot of everything the listener observed:
-    /// connection lifecycle, per-direction frame/byte traffic, decode
-    /// failures and the request-latency distribution. Same shape as the
-    /// reactor listener's stats, for like-for-like benching.
-    pub fn stats(&self) -> ListenerStats {
-        self.metrics.snapshot()
-    }
-
-    /// Stops accepting, drains the threads and returns the final coordinator
-    /// state (e.g. to inspect `messages_received` after a session).
-    pub fn shutdown(mut self) -> Option<ShardedCoordinator> {
-        self.stop_threads()
-    }
-
-    fn stop_threads(&mut self) -> Option<ShardedCoordinator> {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        // Wake every parked connection read: shutting the socket down makes
-        // the blocking read return 0 and the thread exit. (New connections
-        // cannot race in: the accept loop has already seen the stop flag.)
-        for stream in self
-            .conns
-            .lock()
-            .expect("connection registry poisoned")
-            .values()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // With the accept thread (and every connection it joined) gone, all
-        // Sender clones are dropped and the router drains to completion.
-        self.router_thread.take().and_then(|t| t.join().ok())
-    }
-}
-
-impl Drop for CoordinatorListener {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            let _ = self.stop_threads();
-        }
-    }
-}
-
-/// The router thread: the sole owner of the coordinator state.
-fn route(
-    mut coordinator: ShardedCoordinator,
-    rx: mpsc::Receiver<RouterRequest>,
-) -> ShardedCoordinator {
-    let batch_or_error = |r: Result<Vec<Envelope>, ProtocolError>| match r {
-        Ok(envelopes) => WireMsg::Batch { envelopes },
-        Err(e) => WireMsg::Error {
-            detail: e.to_string(),
-        },
-    };
-    // Session-hijack refusal: the first authenticated identity to speak as a
-    // ClientId owns that id for the listener's lifetime. A different channel
-    // identity reusing the id gets a typed refusal before the coordinator
-    // ever sees the message. (Reconnects present the same identity, so the
-    // idempotent-resume path sails through this check.)
-    let mut bindings: HashMap<ClientId, [u8; 32]> = HashMap::new();
-    while let Ok(RouterRequest {
-        msg,
-        identity,
-        reply,
-    }) = rx.recv()
-    {
-        if let (Some(id), Some(who)) = (claimed_client(&msg), identity) {
-            match bindings.get(&id) {
-                Some(bound) if *bound != who => {
-                    let _ = reply.send(WireMsg::Error {
-                        detail: ProtocolError::AuthFailure {
-                            detail: format!(
-                                "client {id} is bound to a different channel identity \
-                                 (session hijack refused)"
-                            ),
-                        }
-                        .to_string(),
-                    });
-                    continue;
-                }
-                _ => {
-                    bindings.insert(id, who);
-                }
-            }
-        }
-        let msg = match msg {
-            // A deferred registry folds straight out of its frame bytes —
-            // the router is where the borrowed view finally gets decoded
-            // (and where a malformed ciphertext block earns its typed
-            // error reply).
-            LazyMsg::DeferredRegistry(frame) => {
-                let response = batch_or_error(coordinator.deliver_registry_frame(frame));
-                let _ = reply.send(response);
-                continue;
-            }
-            LazyMsg::Eager(msg) => msg,
-        };
-        let response = match msg {
-            // Epoch checks live in `deliver`, not `handle`: a stale or
-            // future-epoch frame from a remote peer earns a typed error
-            // reply, exactly as it would in-process.
-            WireMsg::Envelope { envelope } => batch_or_error(coordinator.deliver(envelope)),
-            WireMsg::AnnounceTry {
-                try_index,
-                participants,
-            } => {
-                coordinator.announce_try(try_index, &participants);
-                WireMsg::Ack
-            }
-            WireMsg::BeginEpoch {
-                epoch,
-                expected_registrations,
-            } => {
-                coordinator.begin_epoch(epoch, expected_registrations);
-                WireMsg::Ack
-            }
-            WireMsg::CloseRegistration => batch_or_error(coordinator.close_registration()),
-            WireMsg::CloseTry { try_index } => batch_or_error(coordinator.close_try(try_index)),
-            other => WireMsg::Error {
-                detail: format!("coordinator cannot serve {other:?}"),
-            },
-        };
-        let _ = reply.send(response);
-    }
-    coordinator
-}
-
-/// The historical idle-poll period; kept for [`ListenerConfig`] API
-/// compatibility (idle connections now park on a blocking read instead of
-/// waking at this interval).
-const IDLE_POLL: Duration = Duration::from_millis(200);
-
-/// Seals a typed error into a `DBHE` frame and writes it best-effort (the
-/// connection is about to close either way; the peer deserves to know why).
-fn send_sealed_error<W: std::io::Write>(
-    channel: &mut SecureChannel,
-    w: &mut W,
-    err: &ProtocolError,
-    codec: CodecKind,
-    max_frame_bytes: usize,
-) {
-    let mut inner = Vec::new();
-    if write_frame_limited(
-        &mut inner,
-        &WireMsg::Error {
-            detail: err.to_string(),
-        },
-        codec,
-        max_frame_bytes,
-    )
-    .is_ok()
-    {
-        let sealed = channel.seal_frame(&inner);
-        let _ = w.write_all(&sealed);
-        let _ = w.flush();
-    }
-}
-
-/// One connection's I/O loop: decode a frame, forward it to the router,
-/// relay the reply. Exits on shutdown frames, disconnects, or anything
-/// undecodable (after telling the peer what was wrong, best-effort).
-///
-/// Under a [`ChannelPolicy::Required`] config the loop is preceded by the
-/// pre-protocol handshake phase: nothing but `DBHS` frames is accepted
-/// until mutual authentication completes, after which nothing but `DBHE`
-/// sealed frames is — plaintext protocol frames are refused as downgrade
-/// attempts at every phase, and the per-connection coordinator state is
-/// keyed off the authenticated identity.
-///
-/// The payload codec is negotiated per connection from the frame magic:
-/// every reply is framed in the codec the request arrived in, so one
-/// listener serves `DBH1` and `DBH2` peers concurrently and a peer may even
-/// switch codecs mid-session. (Negotiation selects a *format*, nothing
-/// more — authentication is the handshake's job; see
-/// `docs/THREAT_MODEL.md`.)
-///
-/// Idleness *between* frames is healthy — a client may train for minutes
-/// between protocol rounds — so the wait for a frame's first byte is a plain
-/// blocking read with no timeout: zero CPU parked, woken either by the peer's
-/// next byte or by the listener shutting this socket down at stop. Once a
-/// frame has started, [`ListenerConfig::read_timeout`] bounds the rest of it
-/// so a peer that stalls mid-frame cannot pin the thread.
-fn serve_connection(
-    stream: TcpStream,
-    router: mpsc::Sender<RouterRequest>,
-    stop: Arc<AtomicBool>,
-    config: ListenerConfig,
-    identity: Option<NodeIdentity>,
-    metrics: &ListenerMetrics,
-) {
-    use std::io::{Read as _, Write as _};
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    // Pre-protocol phase: under a `Required` policy the connection speaks
-    // nothing but DBHS until mutual authentication completes. The whole
-    // prelude runs under the read timeout — a peer that connects and then
-    // trickles or stalls (handshake slow-loris) is cut, never parked — and
-    // plaintext protocol frames here are refused as downgrade attempts.
-    let mut session: Option<SecureChannel> = None;
-    if config.channel.is_required() {
-        let identity = identity.expect("required channel resolves an identity at spawn");
-        let _ = stream.set_read_timeout(Some(config.read_timeout));
-        match server_handshake_blocking(&mut stream, identity, config.max_frame_bytes) {
-            Ok(channel) => {
-                metrics.handshake_completed();
-                session = Some(channel);
-            }
-            Err(e) => {
-                metrics.handshake_failed();
-                // Refusals go back in the attempted plaintext codec when
-                // there was one; everything else gets lowest-common DBH1.
-                let reply_codec = match &e {
-                    ProtocolError::DowngradeRefused { magic } => {
-                        metrics.downgrade_refused();
-                        CodecKind::from_magic(*magic).unwrap_or(CodecKind::Json)
-                    }
-                    _ => CodecKind::Json,
-                };
-                let _ = write_frame_limited(
-                    &mut stream,
-                    &WireMsg::Error {
-                        detail: e.to_string(),
-                    },
-                    reply_codec,
-                    config.max_frame_bytes,
-                );
-                return;
-            }
-        }
-    }
-    let peer_identity = session.as_ref().map(|s| s.peer_identity());
-    let mut reader = BufReader::new(stream);
-    // Until the first frame decodes, error replies default to DBH1 (a peer
-    // whose magic we could not even parse gets the lowest common format).
-    let mut codec = CodecKind::Json;
-    loop {
-        // A connection spawned while the listener was stopping may have
-        // missed the shutdown sweep of the socket registry; this check
-        // pairs with it so neither ordering can park a thread forever.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // Park until the next frame's first byte (or hangup / stop wakeup).
-        let _ = reader.get_ref().set_read_timeout(None);
-        let mut first = [0u8; 1];
-        let got = loop {
-            match reader.read(&mut first) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        };
-        if got == 0 {
-            return; // clean close between frames
-        }
-        // Frame in flight: the full read timeout applies from here on.
-        let _ = reader.get_ref().set_read_timeout(Some(config.read_timeout));
-        let (msg, frame_bytes) = if let Some(channel) = session.as_mut() {
-            // Sealed phase: only DBHE frames are legal traffic. Every
-            // refusal is a typed error sealed back to the peer (our send
-            // direction survives a receive failure), then hang up.
-            let (frame, wire_bytes) = match read_channel_frame(
-                &mut (&first[..]).chain(&mut reader),
-                config.max_frame_bytes,
-            ) {
-                Ok(ok) => ok,
-                Err(ProtocolError::Disconnected) => return,
-                Err(e) => {
-                    match e {
-                        ProtocolError::TruncatedFrame { .. } | ProtocolError::Io { .. } => {
-                            metrics.truncated_frame()
-                        }
-                        _ => metrics.decode_error(),
-                    }
-                    send_sealed_error(channel, reader.get_mut(), &e, codec, config.max_frame_bytes);
-                    return;
-                }
-            };
-            let payload = match frame {
-                ChannelFrame::Sealed(payload) => payload,
-                ChannelFrame::Plaintext { frame, .. } => {
-                    // A plaintext protocol frame mid-session is a downgrade
-                    // attempt (or an unauthenticated splice); refused.
-                    metrics.downgrade_refused();
-                    let e = ProtocolError::DowngradeRefused {
-                        magic: frame[..4].try_into().expect("4-byte magic"),
-                    };
-                    send_sealed_error(channel, reader.get_mut(), &e, codec, config.max_frame_bytes);
-                    return;
-                }
-                ChannelFrame::Handshake(_) => {
-                    metrics.decode_error();
-                    let e = ProtocolError::AuthFailure {
-                        detail: "handshake frame after the channel was established".to_string(),
-                    };
-                    send_sealed_error(channel, reader.get_mut(), &e, codec, config.max_frame_bytes);
-                    return;
-                }
-            };
-            let inner = match channel.open_payload(&payload) {
-                Ok(inner) => inner,
-                Err(e) => {
-                    // Tampered ciphertext or replayed/reordered sequence:
-                    // the receive direction is dead, the connection with it.
-                    metrics.aead_rejection();
-                    send_sealed_error(channel, reader.get_mut(), &e, codec, config.max_frame_bytes);
-                    return;
-                }
-            };
-            match read_frame_lazy(&mut &inner[..], config.max_frame_bytes) {
-                Ok((LazyMsg::Eager(WireMsg::Shutdown), _, _)) => {
-                    metrics.frame_received(wire_bytes);
-                    return;
-                }
-                Ok((msg, _, frame_codec)) => {
-                    codec = frame_codec;
-                    (msg, wire_bytes)
-                }
-                Err(e) => {
-                    metrics.decode_error();
-                    send_sealed_error(channel, reader.get_mut(), &e, codec, config.max_frame_bytes);
-                    return;
-                }
-            }
-        } else {
-            match read_frame_lazy(&mut (&first[..]).chain(&mut reader), config.max_frame_bytes) {
-                Ok((LazyMsg::Eager(WireMsg::Shutdown), bytes, _)) => {
-                    metrics.frame_received(bytes);
-                    return;
-                }
-                Err(ProtocolError::Disconnected) => return,
-                Ok((msg, bytes, frame_codec)) => {
-                    codec = frame_codec;
-                    (msg, bytes)
-                }
-                Err(e) => {
-                    // A malformed/truncated frame poisons the stream (framing is
-                    // lost); report and hang up rather than guessing at bytes.
-                    match e {
-                        ProtocolError::TruncatedFrame { .. } | ProtocolError::Io { .. } => {
-                            metrics.truncated_frame()
-                        }
-                        _ => metrics.decode_error(),
-                    }
-                    let _ = write_frame_limited(
-                        reader.get_mut(),
-                        &WireMsg::Error {
-                            detail: e.to_string(),
-                        },
-                        codec,
-                        config.max_frame_bytes,
-                    );
-                    return;
-                }
-            }
-        };
-        metrics.frame_received(frame_bytes);
-        let started = Instant::now();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if router
-            .send(RouterRequest {
-                msg,
-                identity: peer_identity,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return; // listener shutting down
-        }
-        let Ok(response) = reply_rx.recv() else {
-            return;
-        };
-        if let Some(channel) = session.as_mut() {
-            let mut out = Vec::new();
-            if write_frame_limited(&mut out, &response, codec, config.max_frame_bytes).is_err() {
-                return;
-            }
-            let sealed = channel.seal_frame(&out);
-            let stream = reader.get_mut();
-            match stream.write_all(&sealed).and_then(|_| stream.flush()) {
-                Ok(()) => {
-                    metrics.frame_sent(sealed.len());
-                    metrics.write_queue_depth(sealed.len());
-                    metrics.record_latency(started.elapsed());
-                }
-                Err(_) => return,
-            }
-        } else {
-            match write_frame_limited(reader.get_mut(), &response, codec, config.max_frame_bytes) {
-                Ok(written) => {
-                    metrics.frame_sent(written);
-                    // A thread-per-connection reply is written synchronously, so
-                    // the "queue" is exactly the one in-flight reply frame.
-                    metrics.write_queue_depth(written);
-                    metrics.record_latency(started.elapsed());
-                }
-                Err(_) => return,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::message::{Party, ProtocolMsg};
-
-    fn verdict(best_try: usize) -> Envelope {
-        Envelope {
-            from: Party::Agent,
-            to: Party::Server,
-            epoch: 0,
-            msg: ProtocolMsg::TryVerdict {
-                best_try,
-                distance: 0.1,
-            },
-        }
-    }
-
-    #[test]
-    fn listener_spawns_serves_and_shuts_down() {
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
-        let addr = listener.addr();
-        let mut client = TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
-        // A verdict is always accepted and triggers nothing.
-        let out = client.deliver(verdict(0)).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(client.wire_stats().frames_sent, 1);
-        assert_eq!(client.wire_stats().frames_received, 1);
-        assert!(client.wire_stats().total_bytes() > 0);
-        assert_eq!(client.stats().verdicts.messages, 1);
-        let stats = listener.stats();
-        assert_eq!(stats.connections_accepted, 1);
-        assert_eq!(stats.frames_received, 1);
-        assert_eq!(stats.frames_sent, 1);
-        assert!(stats.bytes_received > 0 && stats.bytes_sent > 0);
-        assert_eq!(stats.latency.count, 1);
-        assert!(stats.peak_write_queue > 0);
-        client.shutdown().unwrap();
-        let coordinator = listener.shutdown().expect("state returned");
-        assert_eq!(coordinator.messages_received(), 1);
-        assert_eq!(coordinator.last_verdict(), Some((0, 0.1)));
-    }
-
-    #[test]
-    fn idle_connection_survives_and_shutdown_stays_prompt() {
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-        let mut client =
-            TcpTransport::connect_with_timeout(listener.addr(), Duration::from_secs(5)).unwrap();
-        // Stay silent for several idle-poll periods, like a client that is
-        // busy training between protocol rounds. The server must not treat
-        // the quiet as an error and hang up.
-        std::thread::sleep(IDLE_POLL * 4);
-        client
-            .deliver(verdict(2))
-            .expect("connection still healthy");
-        // Drop the listener while the (idle) connection stays open: shutdown
-        // must complete via the stop flag, not wait for a client hangup.
-        let started = std::time::Instant::now();
-        drop(listener);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "listener shutdown took {:?}",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn both_codecs_interoperate_against_one_listener() {
-        // Frame-magic negotiation: a DBH1 peer and a DBH2 peer drive the
-        // same listener concurrently, and each gets replies in its own
-        // format (the reply decodes on a connector that only speaks that
-        // codec's framing — `request` verifies the round trip).
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
-        let addr = listener.addr();
-        let mut json_client =
-            TcpTransport::connect_with(addr, Duration::from_secs(5), CodecKind::Json).unwrap();
-        let mut binary_client =
-            TcpTransport::connect_with(addr, Duration::from_secs(5), CodecKind::Binary).unwrap();
-        assert_eq!(json_client.codec(), CodecKind::Json);
-        assert_eq!(binary_client.codec(), CodecKind::Binary);
-
-        json_client.deliver(verdict(1)).unwrap();
-        binary_client.deliver(verdict(2)).unwrap();
-        json_client.announce_try(0, &[1, 2]).unwrap();
-        binary_client.announce_try(1, &[3]).unwrap();
-
-        // The identical verdict costs fewer wire bytes under DBH2.
-        assert!(
-            binary_client.wire_stats().bytes_sent < json_client.wire_stats().bytes_sent,
-            "binary framing ({}) should undercut JSON ({})",
-            binary_client.wire_stats().bytes_sent,
-            json_client.wire_stats().bytes_sent
-        );
-
-        json_client.shutdown().unwrap();
-        binary_client.shutdown().unwrap();
-        let coordinator = listener.shutdown().expect("state returned");
-        assert_eq!(coordinator.messages_received(), 2);
-        assert_eq!(coordinator.last_verdict(), Some((2, 0.1)));
-    }
-
-    #[test]
-    fn required_channel_serves_sealed_sessions() {
-        let listener = CoordinatorListener::spawn_with(
-            ShardedCoordinator::new(0, 2),
-            ListenerConfig::default()
-                .with_channel(ChannelPolicy::Required)
-                .with_identity_seed(99),
-        )
-        .unwrap();
-        let server_pub = listener
-            .public_identity()
-            .expect("required listener has identity");
-        let config = TcpConfig::default()
-            .with_read_timeout(Duration::from_secs(5))
-            .with_channel(ChannelPolicy::Required)
-            .with_identity_seed(1)
-            .with_expected_server(server_pub);
-        let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
-        assert_eq!(client.peer_identity(), Some(server_pub));
-
-        let out = client.deliver(verdict(3)).unwrap();
-        assert!(out.is_empty());
-        client.announce_try(0, &[1, 2]).unwrap();
-
-        // The seal's cost lives in the overhead counters, not the
-        // ledger-facing frame bytes.
-        let wire = *client.wire_stats();
-        assert_eq!(wire.frames_sent, 2);
-        assert_eq!(wire.frames_received, 2);
-        assert!(wire.handshake_bytes >= HANDSHAKE_WIRE_BYTES);
-        assert_eq!(
-            wire.sealed_overhead_bytes,
-            4 * super::super::channel::SEALED_FRAME_OVERHEAD
-        );
-
-        client.shutdown().unwrap();
-        let coordinator = listener.shutdown().expect("state returned");
-        assert_eq!(coordinator.messages_received(), 1);
-        assert_eq!(coordinator.last_verdict(), Some((3, 0.1)));
-    }
-
-    #[test]
-    fn sealed_and_plaintext_sessions_meter_identical_protocol_bytes() {
-        // The FL ledger charges wire bytes off these counters; turning the
-        // channel on must not move them by a single byte.
-        let run = |policy: ChannelPolicy| {
-            let listener = CoordinatorListener::spawn_with(
-                ShardedCoordinator::new(0, 2),
-                ListenerConfig::default()
-                    .with_channel(policy)
-                    .with_identity_seed(7),
-            )
-            .unwrap();
-            let mut config = TcpConfig::default()
-                .with_read_timeout(Duration::from_secs(5))
-                .with_codec(CodecKind::Binary)
-                .with_channel(policy)
-                .with_identity_seed(1);
-            if let Some(pin) = listener.public_identity() {
-                config = config.with_expected_server(pin);
-            }
-            let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
-            client.deliver(verdict(1)).unwrap();
-            client.announce_try(0, &[4, 5, 6]).unwrap();
-            let wire = *client.wire_stats();
-            client.shutdown().unwrap();
-            drop(listener);
-            wire
-        };
-        let sealed = run(ChannelPolicy::Required);
-        let plain = run(ChannelPolicy::Plaintext);
-        assert_eq!(sealed.frames_sent, plain.frames_sent);
-        assert_eq!(sealed.frames_received, plain.frames_received);
-        assert_eq!(sealed.bytes_sent, plain.bytes_sent);
-        assert_eq!(sealed.bytes_received, plain.bytes_received);
-        assert_eq!(sealed.total_bytes(), plain.total_bytes());
-        assert_eq!(plain.channel_overhead_bytes(), 0);
-        assert!(sealed.channel_overhead_bytes() > 0);
-    }
+    use std::net::TcpListener;
+    use std::time::Instant;
 
     #[test]
     fn connect_retries_surface_typed_exhaustion() {
@@ -1459,80 +601,5 @@ mod tests {
         // A single attempt keeps the raw error for back-compat.
         let err = TcpTransport::connect(dead_addr).unwrap_err();
         assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
-    }
-
-    #[test]
-    fn session_hijack_is_refused_and_reconnect_resumes() {
-        let listener = CoordinatorListener::spawn_with(
-            ShardedCoordinator::new(0, 4),
-            ListenerConfig::default()
-                .with_channel(ChannelPolicy::Required)
-                .with_identity_seed(42),
-        )
-        .unwrap();
-        let pin = listener.public_identity().unwrap();
-        let config_for = |seed: u64| {
-            TcpConfig::default()
-                .with_read_timeout(Duration::from_secs(5))
-                .with_channel(ChannelPolicy::Required)
-                .with_identity_seed(seed)
-                .with_expected_server(pin)
-        };
-        let client_envelope = Envelope {
-            from: Party::Client(7),
-            to: Party::Server,
-            epoch: 0,
-            msg: ProtocolMsg::TryVerdict {
-                best_try: 0,
-                distance: 0.5,
-            },
-        };
-
-        // Identity A speaks as ClientId 7 and binds it.
-        let mut honest = TcpTransport::connect_with_config(listener.addr(), config_for(1)).unwrap();
-        honest.deliver(client_envelope.clone()).unwrap();
-
-        // Identity B replaying ClientId 7 is refused with the typed error.
-        let mut hijacker =
-            TcpTransport::connect_with_config(listener.addr(), config_for(2)).unwrap();
-        let err = hijacker.deliver(client_envelope.clone()).unwrap_err();
-        match err {
-            ProtocolError::Remote { detail } => {
-                assert!(detail.contains("session hijack refused"), "{detail}")
-            }
-            other => panic!("expected remote hijack refusal, got {other}"),
-        }
-
-        // The honest identity reconnecting resumes its binding untouched.
-        honest.reconnect().unwrap();
-        honest.deliver(client_envelope).unwrap();
-        assert_eq!(honest.wire_stats().reconnects, 1);
-
-        honest.shutdown().unwrap();
-        let stats = listener.stats();
-        assert_eq!(stats.handshakes_completed, 3);
-        assert_eq!(stats.handshakes_failed, 0);
-        drop(listener);
-    }
-
-    #[test]
-    fn concurrent_connections_are_served() {
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-        let addr = listener.addr();
-        let threads: Vec<_> = (0..4)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut client =
-                        TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
-                    client.deliver(verdict(i)).unwrap();
-                    client.shutdown().unwrap();
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let coordinator = listener.shutdown().expect("state returned");
-        assert_eq!(coordinator.messages_received(), 4);
     }
 }

@@ -1,7 +1,7 @@
 //! Codec robustness: property-based round-trips of every [`WireMsg`]
 //! variant through both payload codecs, and `DBH2` frame error paths
 //! mirroring the `DBH1` suite — against byte cursors and against the live
-//! TCP listener.
+//! TCP listener (`dubhe-net`'s `ReactorListener`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,9 +9,10 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use dubhe_he::{EncryptedVector, Keypair};
+use dubhe_net::ReactorListener;
 use dubhe_select::protocol::{
-    read_frame, write_frame_with, CodecKind, CoordinatorListener, Envelope, Party, ProtocolMsg,
-    ShardedCoordinator, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    read_frame, write_frame_with, CodecKind, Envelope, Party, ProtocolMsg, ShardedCoordinator,
+    WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::ProtocolError;
 use proptest::prelude::*;
@@ -217,7 +218,7 @@ fn garbage_dbh2_frames_get_an_error_reply_and_a_hangup() {
     // The live-listener mirror of the DBH1 garbage-frame test: a frame with
     // a valid DBH2 magic but an undecodable payload is reported as a typed
     // error frame, then the connection closes.
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut raw = TcpStream::connect(listener.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let payload = [42u8, 13, 13, 13];
@@ -236,7 +237,7 @@ fn garbage_dbh2_frames_get_an_error_reply_and_a_hangup() {
 
 #[test]
 fn truncated_dbh2_frame_against_the_listener_surfaces_as_error_reply() {
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut raw = TcpStream::connect(listener.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // A correct DBH2 magic announcing 100 payload bytes, of which only 3

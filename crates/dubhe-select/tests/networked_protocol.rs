@@ -5,18 +5,22 @@
 //! in-memory single-coordinator exchange on the same seed — same decrypted
 //! overall registry, same ciphertext residues, same verdict, same canonical
 //! byte accounting — and the TCP layer must surface every failure mode as a
-//! `ProtocolError`, never a panic or a hang.
+//! `ProtocolError`, never a panic or a hang. The server side of every
+//! socket here is the coordinator listener, `dubhe-net`'s `ReactorListener`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
+use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    read_frame, run_registration_with, run_try, CodecKind, Coordinator, CoordinatorListener,
-    Envelope, InMemoryTransport, Party, ProtocolMsg, ShardedCoordinator, TcpTransport,
-    TransportStats, WireMsg, FRAME_MAGIC,
+    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
+    InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig,
+    TcpTransport, TransportStats, WireMsg, FRAME_MAGIC, HANDSHAKE_WIRE_BYTES,
+    SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
@@ -111,7 +115,7 @@ fn tcp_loopback_session_is_bit_identical_to_in_memory_under_both_codecs() {
     // identical; only the measured framing differs.
     let mut wire_totals = Vec::new();
     for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
+        let listener = ReactorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
         let endpoint = TcpTransport::connect_with_codec(listener.addr(), codec).unwrap();
         let (overall_tcp, verdict_tcp, stats_tcp, endpoint) = drive_session(&dists, 62, endpoint);
 
@@ -155,7 +159,7 @@ fn remote_coordinator_relays_protocol_errors() {
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(72);
 
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(4, 2)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(4, 2)).unwrap();
     let endpoint = TcpTransport::connect(listener.addr()).unwrap();
     let mut transport = InMemoryTransport::new();
     let mut run = run_registration_with(
@@ -193,7 +197,7 @@ fn remote_coordinator_relays_protocol_errors() {
 
 #[test]
 fn garbage_frames_get_an_error_reply_and_a_hangup() {
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut raw = TcpStream::connect(listener.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     raw.write_all(b"GET / HTTP/1.1\r\nHost: dubhe\r\n\r\n")
@@ -210,7 +214,7 @@ fn garbage_frames_get_an_error_reply_and_a_hangup() {
 
 #[test]
 fn truncated_frame_surfaces_as_error_reply() {
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut raw = TcpStream::connect(listener.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // A correct magic and a length announcing 100 bytes... of which only 3
@@ -265,9 +269,11 @@ fn silent_peer_times_out_instead_of_hanging() {
     // must bound the wait.
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
+    let (release, released) = mpsc::channel::<()>();
     let holder = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        std::thread::sleep(Duration::from_secs(3));
+        // Hold the socket open, silent, until the test has asserted.
+        let _ = released.recv();
         drop(stream);
     });
     let mut endpoint =
@@ -282,6 +288,7 @@ fn silent_peer_times_out_instead_of_hanging() {
         started.elapsed()
     );
     assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
+    release.send(()).unwrap();
     holder.join().unwrap();
 }
 
@@ -294,4 +301,274 @@ fn connect_to_a_dead_port_fails_cleanly() {
     };
     let err = TcpTransport::connect(addr).unwrap_err();
     assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
+}
+
+fn verdict(best_try: usize) -> Envelope {
+    Envelope {
+        from: Party::Agent,
+        to: Party::Server,
+        epoch: 0,
+        msg: ProtocolMsg::TryVerdict {
+            best_try,
+            distance: 0.1,
+        },
+    }
+}
+
+/// Polls the listener's stats until `done` holds. Replies reach the client
+/// a moment before the event loop finishes recording them, so counters are
+/// read once they have settled rather than raced.
+fn settled<C: Coordinator + Send + 'static>(
+    listener: &ReactorListener<C>,
+    done: impl Fn(&ListenerStats) -> bool,
+) -> ListenerStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = listener.stats();
+        if done(&stats) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "stats never settled: {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn listener_spawns_serves_and_shuts_down() {
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
+    let addr = listener.addr();
+    let mut client = TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
+    // A verdict is always accepted and triggers nothing.
+    let out = client.deliver(verdict(0)).unwrap();
+    assert!(out.is_empty());
+    assert_eq!(client.wire_stats().frames_sent, 1);
+    assert_eq!(client.wire_stats().frames_received, 1);
+    assert!(client.wire_stats().total_bytes() > 0);
+    assert_eq!(client.stats().verdicts.messages, 1);
+    let stats = settled(&listener, |s| s.latency.count == 1);
+    assert_eq!(stats.connections_accepted, 1);
+    assert_eq!(stats.frames_received, 1);
+    assert_eq!(stats.frames_sent, 1);
+    assert!(stats.bytes_received > 0 && stats.bytes_sent > 0);
+    // The socket took the small reply whole: nothing ever waited in the
+    // connection's write queue.
+    assert_eq!(stats.peak_write_queue, 0);
+    client.shutdown().unwrap();
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 1);
+    assert_eq!(coordinator.last_verdict(), Some((0, 0.1)));
+}
+
+#[test]
+fn idle_connection_survives_and_shutdown_stays_prompt() {
+    let read_timeout = Duration::from_millis(100);
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 1),
+        ReactorConfig::default().with_read_timeout(read_timeout),
+    )
+    .unwrap();
+    let mut client =
+        TcpTransport::connect_with_timeout(listener.addr(), Duration::from_secs(5)).unwrap();
+    // Stay silent for several read timeouts, like a client that is busy
+    // training between protocol rounds. The timeout bounds stalls *inside*
+    // a frame; quiet between frames is healthy and must not be cut.
+    std::thread::sleep(read_timeout * 4);
+    client
+        .deliver(verdict(2))
+        .expect("connection still healthy");
+    // Drop the listener while the (idle) connection stays open: shutdown
+    // must complete via the stop flag, not wait for a client hangup.
+    let started = Instant::now();
+    drop(listener);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "listener shutdown took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn both_codecs_interoperate_against_one_listener() {
+    // Frame-magic negotiation: a DBH1 peer and a DBH2 peer drive the same
+    // listener concurrently, and each gets replies in its own format (the
+    // reply decodes on a connector that only speaks that codec's framing —
+    // `request` verifies the round trip).
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
+    let addr = listener.addr();
+    let mut json_client =
+        TcpTransport::connect_with(addr, Duration::from_secs(5), CodecKind::Json).unwrap();
+    let mut binary_client =
+        TcpTransport::connect_with(addr, Duration::from_secs(5), CodecKind::Binary).unwrap();
+    assert_eq!(json_client.codec(), CodecKind::Json);
+    assert_eq!(binary_client.codec(), CodecKind::Binary);
+
+    json_client.deliver(verdict(1)).unwrap();
+    binary_client.deliver(verdict(2)).unwrap();
+    json_client.announce_try(0, &[1, 2]).unwrap();
+    binary_client.announce_try(1, &[3]).unwrap();
+
+    // The identical verdict costs fewer wire bytes under DBH2.
+    assert!(
+        binary_client.wire_stats().bytes_sent < json_client.wire_stats().bytes_sent,
+        "binary framing ({}) should undercut JSON ({})",
+        binary_client.wire_stats().bytes_sent,
+        json_client.wire_stats().bytes_sent
+    );
+
+    json_client.shutdown().unwrap();
+    binary_client.shutdown().unwrap();
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 2);
+    assert_eq!(coordinator.last_verdict(), Some((2, 0.1)));
+}
+
+#[test]
+fn required_channel_serves_sealed_sessions() {
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 2),
+        ReactorConfig::default()
+            .with_channel(ChannelPolicy::Required)
+            .with_identity_seed(99),
+    )
+    .unwrap();
+    let server_pub = listener
+        .public_identity()
+        .expect("required listener has identity");
+    let config = TcpConfig::default()
+        .with_read_timeout(Duration::from_secs(5))
+        .with_channel(ChannelPolicy::Required)
+        .with_identity_seed(1)
+        .with_expected_server(server_pub);
+    let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+    assert_eq!(client.peer_identity(), Some(server_pub));
+
+    let out = client.deliver(verdict(3)).unwrap();
+    assert!(out.is_empty());
+    client.announce_try(0, &[1, 2]).unwrap();
+
+    // The seal's cost lives in the overhead counters, not the
+    // ledger-facing frame bytes.
+    let wire = *client.wire_stats();
+    assert_eq!(wire.frames_sent, 2);
+    assert_eq!(wire.frames_received, 2);
+    assert!(wire.handshake_bytes >= HANDSHAKE_WIRE_BYTES);
+    assert_eq!(wire.sealed_overhead_bytes, 4 * SEALED_FRAME_OVERHEAD);
+
+    client.shutdown().unwrap();
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 1);
+    assert_eq!(coordinator.last_verdict(), Some((3, 0.1)));
+}
+
+#[test]
+fn sealed_and_plaintext_sessions_meter_identical_protocol_bytes() {
+    // The FL ledger charges wire bytes off these counters; turning the
+    // channel on must not move them by a single byte.
+    let run = |policy: ChannelPolicy| {
+        let listener = ReactorListener::spawn_with(
+            ShardedCoordinator::new(0, 2),
+            ReactorConfig::default()
+                .with_channel(policy)
+                .with_identity_seed(7),
+        )
+        .unwrap();
+        let mut config = TcpConfig::default()
+            .with_read_timeout(Duration::from_secs(5))
+            .with_codec(CodecKind::Binary)
+            .with_channel(policy)
+            .with_identity_seed(1);
+        if let Some(pin) = listener.public_identity() {
+            config = config.with_expected_server(pin);
+        }
+        let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+        client.deliver(verdict(1)).unwrap();
+        client.announce_try(0, &[4, 5, 6]).unwrap();
+        let wire = *client.wire_stats();
+        client.shutdown().unwrap();
+        drop(listener);
+        wire
+    };
+    let sealed = run(ChannelPolicy::Required);
+    let plain = run(ChannelPolicy::Plaintext);
+    assert_eq!(sealed.frames_sent, plain.frames_sent);
+    assert_eq!(sealed.frames_received, plain.frames_received);
+    assert_eq!(sealed.bytes_sent, plain.bytes_sent);
+    assert_eq!(sealed.bytes_received, plain.bytes_received);
+    assert_eq!(sealed.total_bytes(), plain.total_bytes());
+    assert_eq!(plain.channel_overhead_bytes(), 0);
+    assert!(sealed.channel_overhead_bytes() > 0);
+}
+
+#[test]
+fn session_hijack_is_refused_and_reconnect_resumes() {
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 4),
+        ReactorConfig::default()
+            .with_channel(ChannelPolicy::Required)
+            .with_identity_seed(42),
+    )
+    .unwrap();
+    let pin = listener.public_identity().unwrap();
+    let config_for = |seed: u64| {
+        TcpConfig::default()
+            .with_read_timeout(Duration::from_secs(5))
+            .with_channel(ChannelPolicy::Required)
+            .with_identity_seed(seed)
+            .with_expected_server(pin)
+    };
+    let client_envelope = Envelope {
+        from: Party::Client(7),
+        to: Party::Server,
+        epoch: 0,
+        msg: ProtocolMsg::TryVerdict {
+            best_try: 0,
+            distance: 0.5,
+        },
+    };
+
+    // Identity A speaks as ClientId 7 and binds it.
+    let mut honest = TcpTransport::connect_with_config(listener.addr(), config_for(1)).unwrap();
+    honest.deliver(client_envelope.clone()).unwrap();
+
+    // Identity B replaying ClientId 7 is refused with the typed error.
+    let mut hijacker = TcpTransport::connect_with_config(listener.addr(), config_for(2)).unwrap();
+    let err = hijacker.deliver(client_envelope.clone()).unwrap_err();
+    match err {
+        ProtocolError::Remote { detail } => {
+            assert!(detail.contains("session hijack refused"), "{detail}")
+        }
+        other => panic!("expected remote hijack refusal, got {other}"),
+    }
+
+    // The honest identity reconnecting resumes its binding untouched.
+    honest.reconnect().unwrap();
+    honest.deliver(client_envelope).unwrap();
+    assert_eq!(honest.wire_stats().reconnects, 1);
+
+    honest.shutdown().unwrap();
+    let stats = listener.stats();
+    assert_eq!(stats.handshakes_completed, 3);
+    assert_eq!(stats.handshakes_failed, 0);
+    drop(listener);
+}
+
+#[test]
+fn concurrent_connections_are_served() {
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    let addr = listener.addr();
+    let threads: Vec<_> = (0..4)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let mut client =
+                    TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
+                client.deliver(verdict(i)).unwrap();
+                client.shutdown().unwrap();
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 4);
 }
