@@ -664,12 +664,11 @@ fn protocol_round_trip(key_bits: u64) -> dubhe_select::TransportStats {
 
 /// The identical session over loopback TCP against a 4-shard coordinator,
 /// once per payload codec: every server-bound message crosses a real socket
-/// as a length-prefixed `DBH1` (JSON), `DBH2` (canonical binary) or `DBHZ`
-/// (LZSS-compressed JSON) frame. The canonical byte totals must match the
-/// in-memory run exactly for all three; the measured frame bytes show what
-/// each codec's framing and encoding add on top. `DBH2` is asserted to stay
-/// within 1.10× of the canonical bytes — the paper's communication model —
-/// where `DBH1` pays ~2.5× and `DBHZ` sits between them.
+/// as a length-prefixed `DBH1` (JSON) or `DBH2` (canonical binary) frame.
+/// The canonical byte totals must match the in-memory run exactly for both;
+/// the measured frame bytes show what each codec's framing and encoding add
+/// on top. `DBH2` is asserted to stay within 1.10× of the canonical bytes —
+/// the paper's communication model — where `DBH1` pays ~2.5×.
 fn tcp_round_trip(key_bits: u64, in_memory: &dubhe_select::TransportStats) {
     println!("\nsame session over loopback TCP (4-shard coordinator), per wire codec:");
     let spec = FederatedSpec {
@@ -687,7 +686,7 @@ fn tcp_round_trip(key_bits: u64, in_memory: &dubhe_select::TransportStats) {
         "codec", "frames", "measured (B)", "canonical (B)", "overhead", "time"
     );
     let mut overheads = Vec::new();
-    for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+    for codec in [CodecKind::Json, CodecKind::Binary] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(101);
         let dists = spec.build_partition(&mut rng).client_distributions();
         let mut config = DubheConfig::group1();

@@ -5,28 +5,28 @@
 //! in whatever slices the kernel delivers (a header split across two reads,
 //! a byte-at-a-time slow-loris, three pipelined frames in one burst) and
 //! must never block. [`FrameBuffer`] bridges the two worlds: feed it raw
-//! bytes as they arrive, pull complete [`WireMsg`]s out as they become
-//! parseable. Validation order matches the blocking path — magic before
-//! length, announced length against the ceiling *before* buffering a
-//! payload — so a hostile header is refused after at most 8 bytes, with the
-//! same typed [`ProtocolError`]s the blocking reader produces.
+//! bytes as they arrive, pull complete frames out as they become parseable.
+//! Headers go through the same [`check_header`] as the blocking readers —
+//! magic before length, announced length against the ceiling *before*
+//! buffering a payload — so a hostile header is refused after at most 8
+//! bytes, with the same typed [`ProtocolError`]s; payloads go through the
+//! same [`decode_lazy`].
 
-use dubhe_select::protocol::channel::{
-    ChannelFrame, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
+use dubhe_select::protocol::codec::CodecKind;
+use dubhe_select::protocol::wire::{
+    check_header, decode_lazy, Accept, ChannelFrame, FrameHeader, FrameKind, LazyMsg, HEADER_BYTES,
 };
-use dubhe_select::protocol::codec::{CodecKind, RegistryFrame};
-use dubhe_select::protocol::wire::{read_frame_limited, LazyMsg};
 use dubhe_select::protocol::WireMsg;
+#[cfg(test)]
+use dubhe_select::protocol::{FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD};
 use dubhe_select::ProtocolError;
-
-/// Magic (4) + big-endian payload length (4).
-pub(crate) const HEADER_BYTES: usize = 8;
 
 /// Bytes of already-parsed prefix tolerated before the buffer compacts.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-/// Reassembles length-prefixed `DBH1`/`DBH2` frames from arbitrary byte
-/// slices. One per connection.
+/// Reassembles length-prefixed frames of all four magics (`DBH1`/`DBH2`
+/// protocol frames, `DBHS` handshake and `DBHE` sealed frames) from
+/// arbitrary byte slices. One per connection.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -57,173 +57,87 @@ impl FrameBuffer {
         self.pending_bytes() > 0
     }
 
-    /// Pulls the next complete frame, if one has fully arrived.
-    ///
-    /// `Ok(None)` means "need more bytes"; errors are terminal for the
-    /// connection (framing is lost once a header is bad — same contract as
-    /// the blocking reader).
-    pub fn next_frame(
-        &mut self,
+    /// The header of the next frame once all of it has arrived. `Ok(None)`
+    /// means "need more bytes"; errors are terminal for the connection
+    /// (framing is lost once a header is bad — same contract as the
+    /// blocking readers).
+    fn complete(
+        &self,
         max_frame_bytes: usize,
-    ) -> Result<Option<(WireMsg, usize, CodecKind)>, ProtocolError> {
+        accept: Accept,
+    ) -> Result<Option<FrameHeader>, ProtocolError> {
         let avail = &self.buf[self.pos..];
-        // Validate the magic as soon as it is complete: garbage is refused
-        // after 4 bytes, not held until a phantom "length" dribbles in.
-        if avail.len() >= 4
-            && CodecKind::from_magic([avail[0], avail[1], avail[2], avail[3]]).is_none()
-        {
-            return Err(ProtocolError::MalformedFrame {
-                detail: format!(
-                    "bad magic {:02x?}, expected DBH1, DBH2 or DBHZ",
-                    &avail[..4]
-                ),
-            });
-        }
-        if avail.len() < HEADER_BYTES {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        if len > max_frame_bytes {
-            return Err(ProtocolError::FrameTooLarge {
-                len,
-                max: max_frame_bytes,
-            });
-        }
-        let total = HEADER_BYTES + len;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = read_frame_limited(&mut &avail[..total], max_frame_bytes)?;
+        let header = check_header(avail, max_frame_bytes, accept)?;
+        Ok(header.filter(|h| avail.len() >= h.total()))
+    }
+
+    /// Marks the next `total` bytes consumed and compacts the buffer: the
+    /// one consume site. A buffer taken by [`decode_lazy`] is empty and
+    /// simply starts over.
+    fn consume(&mut self, total: usize) {
         self.pos += total;
-        if self.pos == self.buf.len() {
+        if self.pos >= self.buf.len() {
             self.buf.clear();
             self.pos = 0;
         } else if self.pos > COMPACT_THRESHOLD {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        Ok(Some(frame))
+    }
+
+    /// Pulls the next complete protocol frame, if one has fully arrived,
+    /// decoded eagerly. `Ok(None)` means "need more bytes".
+    pub fn next_frame(
+        &mut self,
+        max_frame_bytes: usize,
+    ) -> Result<Option<(WireMsg, usize, CodecKind)>, ProtocolError> {
+        self.next_frame_lazy(max_frame_bytes)?
+            .map(|(msg, bytes, codec)| Ok((msg.force()?, bytes, codec)))
+            .transpose()
     }
 
     /// [`next_frame`](Self::next_frame), but `DBH2` registry uploads come
     /// back *undecoded* as [`LazyMsg::DeferredRegistry`] — the router folds
     /// their ciphertext block straight out of the payload bytes instead of
-    /// materialising per-element bignums on the event loop. Every other
-    /// frame decodes eagerly with identical validation and errors.
+    /// materialising per-element bignums on the event loop.
     ///
-    /// The deferral check runs on the borrowed reassembly buffer; only a
-    /// recognised registry's payload is copied out (and when the frame is
-    /// the buffer's sole content, the buffer itself is taken — no copy).
+    /// The payload decodes on the borrowed reassembly buffer; only a
+    /// recognised registry's payload leaves it, and when the frame ends the
+    /// buffer the buffer itself is taken — no copy.
     pub fn next_frame_lazy(
         &mut self,
         max_frame_bytes: usize,
     ) -> Result<Option<(LazyMsg, usize, CodecKind)>, ProtocolError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_BYTES {
-            return self
-                .next_frame(max_frame_bytes)
-                .map(|f| f.map(|(msg, n, c)| (LazyMsg::Eager(msg), n, c)));
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        let total = HEADER_BYTES + len;
-        let is_deferrable = CodecKind::from_magic([avail[0], avail[1], avail[2], avail[3]])
-            == Some(CodecKind::Binary)
-            && len <= max_frame_bytes
-            && avail.len() >= total
-            && RegistryFrame::matches_prefix(&avail[HEADER_BYTES..total]);
-        if !is_deferrable {
-            return self
-                .next_frame(max_frame_bytes)
-                .map(|f| f.map(|(msg, n, c)| (LazyMsg::Eager(msg), n, c)));
-        }
-        let payload = if self.pos == 0 && self.buf.len() == total {
-            // The frame is the buffer's whole content: take it, shave the
-            // header — zero copies of the (dominant) ciphertext block.
-            let mut taken = std::mem::take(&mut self.buf);
-            taken.drain(..HEADER_BYTES);
-            taken
-        } else {
-            let payload = self.buf[self.pos + HEADER_BYTES..self.pos + total].to_vec();
-            self.pos += total;
-            if self.pos == self.buf.len() {
-                self.buf.clear();
-                self.pos = 0;
-            } else if self.pos > COMPACT_THRESHOLD {
-                self.buf.drain(..self.pos);
-                self.pos = 0;
-            }
-            payload
+        let Some(header) = self.complete(max_frame_bytes, Accept::Protocol)? else {
+            return Ok(None);
         };
-        let frame =
-            RegistryFrame::try_from_payload(payload).expect("matches_prefix accepted this payload");
-        Ok(Some((
-            LazyMsg::DeferredRegistry(frame),
-            total,
-            CodecKind::Binary,
-        )))
+        let FrameKind::Protocol(codec) = header.kind() else {
+            unreachable!("protocol pulls accept only DBH1/DBH2 headers");
+        };
+        let payload = self.pos + HEADER_BYTES..self.pos + header.total();
+        let msg = decode_lazy(codec, &mut self.buf, payload)?;
+        self.consume(header.total());
+        Ok(Some((msg, header.total(), codec)))
     }
 
     /// Pulls the next frame of *any* known magic — `DBHS` handshake, `DBHE`
     /// sealed or plaintext protocol — still undecoded, as a
     /// [`ChannelFrame`]. The nonblocking twin of
-    /// [`read_channel_frame`](dubhe_select::protocol::channel::read_channel_frame):
+    /// [`read_channel_frame`](dubhe_select::protocol::wire::read_channel_frame):
     /// the reactor's pre-protocol handshake phase and its sealed sessions
     /// pull through this, and the caller decides which variants its policy
-    /// and phase accept. Same contract as [`next_frame`](Self::next_frame):
-    /// magic validated after 4 bytes, announced length checked against the
-    /// ceiling *before* buffering (sealed frames may exceed the inner
-    /// ceiling by exactly the seal), `Ok(None)` means "need more bytes".
+    /// and phase accept. A sealed frame may exceed the inner ceiling by
+    /// exactly the seal.
     pub fn next_channel_frame(
         &mut self,
         max_frame_bytes: usize,
     ) -> Result<Option<(ChannelFrame, usize)>, ProtocolError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let Some(header) = self.complete(max_frame_bytes, Accept::Channel)? else {
             return Ok(None);
-        }
-        let magic = [avail[0], avail[1], avail[2], avail[3]];
-        let known = magic == FRAME_MAGIC_HANDSHAKE
-            || magic == FRAME_MAGIC_SEALED
-            || CodecKind::from_magic(magic).is_some();
-        if !known {
-            return Err(ProtocolError::MalformedFrame {
-                detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHZ, DBHS or DBHE"),
-            });
-        }
-        if avail.len() < HEADER_BYTES {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        let ceiling = max_frame_bytes + SEALED_FRAME_OVERHEAD;
-        if len > ceiling {
-            return Err(ProtocolError::FrameTooLarge {
-                len,
-                max: max_frame_bytes,
-            });
-        }
-        let total = HEADER_BYTES + len;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = if magic == FRAME_MAGIC_HANDSHAKE {
-            ChannelFrame::Handshake(avail[HEADER_BYTES..total].to_vec())
-        } else if magic == FRAME_MAGIC_SEALED {
-            ChannelFrame::Sealed(avail[HEADER_BYTES..total].to_vec())
-        } else {
-            ChannelFrame::Plaintext {
-                codec: CodecKind::from_magic(magic).expect("validated above"),
-                frame: avail[..total].to_vec(),
-            }
         };
-        self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > COMPACT_THRESHOLD {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some((frame, total)))
+        let kept = self.buf[self.pos + header.kept_from()..self.pos + header.total()].to_vec();
+        self.consume(header.total());
+        Ok(Some((header.channel_frame(kept), header.total())))
     }
 }
 

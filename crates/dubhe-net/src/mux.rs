@@ -21,14 +21,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dubhe_select::protocol::channel::{
-    client_handshake, secret_bytes_from_seed, ChannelFrame, ChannelPolicy, NodeIdentity,
-    RetrySchedule, SecureChannel,
+    client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule,
+    SecureChannel,
 };
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{LatencyHistogram, LatencySummary};
-use dubhe_select::protocol::wire::{
-    read_frame_limited, write_frame_limited, WireMsg, MAX_FRAME_BYTES,
-};
+use dubhe_select::protocol::wire::{append_frame, open_reply, WireMsg, MAX_FRAME_BYTES};
 use dubhe_select::ProtocolError;
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token};
 
@@ -169,36 +167,17 @@ struct MuxConn {
 }
 
 /// One dial (+ handshake under a `Required` policy) with the config's
-/// bounded-backoff retry schedule. Transient failures — socket errors,
-/// disconnects, truncated handshakes — retry; deterministic refusals
-/// (authentication failures, a wrong pinned key, downgrades) never do.
+/// bounded-backoff retry schedule (see [`RetrySchedule::retry`]), its
+/// jitter seeded per connection.
 fn connect_conn(
     addr: SocketAddr,
     index: usize,
     config: &MuxConfig,
 ) -> Result<(TcpStream, Option<SecureChannel>), ProtocolError> {
-    let attempts = config.connect_attempts.max(1);
-    let mut schedule = RetrySchedule::new(config.retry_base, config.retry_seed ^ index as u64);
-    let mut last = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(schedule.delay(attempt as u32 - 1));
-        }
-        match connect_conn_once(addr, index, config) {
-            Ok(ok) => return Ok(ok),
-            Err(
-                e @ (ProtocolError::Io { .. }
-                | ProtocolError::Disconnected
-                | ProtocolError::TruncatedFrame { .. }),
-            ) => last = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    if attempts == 1 {
-        Err(last.expect("one failed attempt recorded"))
-    } else {
-        Err(ProtocolError::RetriesExhausted { attempts })
-    }
+    RetrySchedule::new(config.retry_base, config.retry_seed ^ index as u64)
+        .retry(config.connect_attempts, || {
+            connect_conn_once(addr, index, config)
+        })
 }
 
 fn connect_conn_once(
@@ -327,24 +306,13 @@ impl MuxClient {
     /// [`collect`](Self::collect) (or [`exchange`](Self::exchange)).
     pub fn send(&mut self, conn: usize, msg: &WireMsg) -> Result<(), ProtocolError> {
         let c = &mut self.conns[conn];
-        if let Some(channel) = c.channel.as_mut() {
-            let mut inner = Vec::new();
-            write_frame_limited(
-                &mut inner,
-                msg,
-                self.config.codec,
-                self.config.max_frame_bytes,
-            )?;
-            let sealed = channel.seal_frame(&inner);
-            c.out.extend_from_slice(&sealed);
-        } else {
-            write_frame_limited(
-                &mut c.out,
-                msg,
-                self.config.codec,
-                self.config.max_frame_bytes,
-            )?;
-        }
+        append_frame(
+            &mut c.out,
+            msg,
+            self.config.codec,
+            self.config.max_frame_bytes,
+            c.channel.as_mut(),
+        )?;
         c.pending.push_back(Instant::now());
         Ok(())
     }
@@ -405,23 +373,13 @@ impl MuxClient {
     pub fn shutdown(mut self) {
         for token in 0..self.conns.len() {
             let c = &mut self.conns[token];
-            let mut inner = Vec::new();
-            if write_frame_limited(
-                &mut inner,
+            let _ = append_frame(
+                &mut c.out,
                 &WireMsg::Shutdown,
                 self.config.codec,
                 self.config.max_frame_bytes,
-            )
-            .is_ok()
-            {
-                match c.channel.as_mut() {
-                    Some(channel) => {
-                        let sealed = channel.seal_frame(&inner);
-                        c.out.extend_from_slice(&sealed);
-                    }
-                    None => c.out.extend_from_slice(&inner),
-                }
-            }
+                c.channel.as_mut(),
+            );
             // No reply follows a shutdown frame.
             let _ = self.flush(token);
         }
@@ -488,43 +446,24 @@ impl MuxClient {
                 Err(e) => return Err(io_error("read frame", e)),
             }
         }
-        if let Some(channel) = c.channel.as_mut() {
-            // Channel connections accept nothing but sealed frames: a
-            // plaintext reply is a downgrade (or an unauthenticated
-            // splice), a handshake frame is out of phase, and a seal that
-            // fails to open — tamper, replay, reorder — is a typed error.
-            while let Some((frame, _)) = c.frames.next_channel_frame(self.config.max_frame_bytes)? {
-                let msg = match frame {
-                    ChannelFrame::Sealed(payload) => {
-                        let inner = channel.open_payload(&payload)?;
-                        let (msg, _, _) =
-                            read_frame_limited(&mut &inner[..], self.config.max_frame_bytes)?;
-                        msg
-                    }
-                    ChannelFrame::Plaintext { frame, .. } => {
-                        return Err(ProtocolError::DowngradeRefused {
-                            magic: frame[..4].try_into().expect("4-byte magic"),
-                        });
-                    }
-                    ChannelFrame::Handshake(_) => {
-                        return Err(ProtocolError::AuthFailure {
-                            detail: "handshake frame after the channel was established".to_string(),
-                        });
-                    }
-                };
-                if let Some(queued_at) = c.pending.pop_front() {
-                    self.latency.record(queued_at.elapsed());
-                }
-                replies.push((token, msg));
+        let max = self.config.max_frame_bytes;
+        loop {
+            // Channel connections accept nothing but sealed replies (see
+            // `open_reply`).
+            let reply = match c.channel.as_mut() {
+                None => c.frames.next_frame(max)?.map(|(msg, _, _)| msg),
+                Some(channel) => match c.frames.next_channel_frame(max)? {
+                    Some((frame, _)) => Some(open_reply(channel, frame, max)?.0),
+                    None => None,
+                },
+            };
+            let Some(msg) = reply else {
+                return Ok(());
+            };
+            if let Some(queued_at) = c.pending.pop_front() {
+                self.latency.record(queued_at.elapsed());
             }
-        } else {
-            while let Some((msg, _, _)) = c.frames.next_frame(self.config.max_frame_bytes)? {
-                if let Some(queued_at) = c.pending.pop_front() {
-                    self.latency.record(queued_at.elapsed());
-                }
-                replies.push((token, msg));
-            }
+            replies.push((token, msg));
         }
-        Ok(())
     }
 }

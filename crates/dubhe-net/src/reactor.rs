@@ -69,17 +69,19 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dubhe_select::protocol::channel::{ChannelFrame, ChannelPolicy, NodeIdentity, ServerHandshake};
+use dubhe_select::protocol::channel::{
+    ChannelPolicy, NodeIdentity, SecureChannel, ServerHandshake,
+};
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
 use dubhe_select::protocol::wire::{
-    read_frame_lazy, write_frame_limited, LazyMsg, WireMsg, MAX_FRAME_BYTES,
+    append_frame, decode_frame, LazyMsg, WireMsg, HEADER_BYTES, MAX_FRAME_BYTES,
 };
 use dubhe_select::protocol::{Coordinator, Party, DEFAULT_READ_TIMEOUT};
 use dubhe_select::{ClientId, ProtocolError};
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
 
-use crate::frames::{FrameBuffer, HEADER_BYTES};
+use crate::frames::FrameBuffer;
 
 /// How long a poll sleeps when nothing bounds it sooner. Purely a liveness
 /// backstop (stop and replies both ring the waker); large enough to cost
@@ -519,12 +521,22 @@ struct PendingSend {
 /// leave [`ConnPhase::Plaintext`]; `Required` listeners walk
 /// `Handshake → Established` and refuse everything off-phase.
 enum ConnPhase {
-    /// Ordinary protocol frames (`DBH1`/`DBH2`/`DBHZ`), no channel.
+    /// Ordinary protocol frames (`DBH1`/`DBH2`), no channel.
     Plaintext,
     /// Pre-protocol: nothing but `DBHS` handshake frames is accepted.
     Handshake(ServerHandshake),
     /// Mutually authenticated: nothing but `DBHE` sealed frames is.
-    Established(dubhe_select::protocol::channel::SecureChannel),
+    Established(SecureChannel),
+}
+
+impl ConnPhase {
+    /// The channel outgoing frames are sealed under, once established.
+    fn channel(&mut self) -> Option<&mut SecureChannel> {
+        match self {
+            ConnPhase::Established(channel) => Some(channel),
+            _ => None,
+        }
+    }
 }
 
 /// Per-connection state owned by the event loop.
@@ -565,12 +577,9 @@ fn send_notice(conn: &mut Conn, detail: String, max_frame_bytes: usize) {
     }
     let notice = WireMsg::Error { detail };
     let mut buf = Vec::new();
-    if write_frame_limited(&mut buf, &notice, conn.codec, max_frame_bytes).is_ok() {
-        let bytes = match &mut conn.phase {
-            ConnPhase::Established(channel) => channel.seal_frame(&buf),
-            _ => buf,
-        };
-        let _ = conn.stream.write(&bytes);
+    let channel = conn.phase.channel();
+    if append_frame(&mut buf, &notice, conn.codec, max_frame_bytes, channel).is_ok() {
+        let _ = conn.stream.write(&buf);
     }
 }
 
@@ -799,35 +808,7 @@ impl EventLoop {
             return false;
         };
         match conn.frames.next_frame_lazy(max) {
-            Ok(Some((LazyMsg::Eager(WireMsg::Shutdown), bytes, _))) => {
-                self.metrics.frame_received(bytes);
-                conn.closing = true;
-                if conn.out.len() == conn.out_pos {
-                    self.close_conn(token, CloseReason::Clean);
-                }
-                false
-            }
-            Ok(Some((msg, bytes, codec))) => {
-                self.metrics.frame_received(bytes);
-                conn.codec = codec;
-                let identity = conn.peer;
-                if self
-                    .job_tx
-                    .send(Job {
-                        token,
-                        msg,
-                        codec,
-                        identity,
-                        started: Instant::now(),
-                    })
-                    .is_err()
-                {
-                    // Router gone: the listener is shutting down.
-                    self.close_conn(token, CloseReason::Clean);
-                    return false;
-                }
-                true
-            }
+            Ok(Some((msg, bytes, codec))) => self.dispatch(token, msg, bytes, codec),
             Ok(None) => {
                 self.update_deadline(token, progressed);
                 false
@@ -852,7 +833,8 @@ impl EventLoop {
         }
     }
 
-    /// One handshake-phase pull: nothing but `DBHS` frames is legal.
+    /// One handshake-phase pull: nothing but `DBHS` frames is legal
+    /// ([`into_handshake`](dubhe_select::protocol::ChannelFrame::into_handshake)).
     /// Plaintext protocol frames are refused as downgrade attempts, sealed
     /// frames as out-of-phase; the M2 reply rides the ordinary write queue.
     fn step_handshake(&mut self, token: usize, progressed: bool) -> bool {
@@ -860,48 +842,40 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        match conn.frames.next_channel_frame(max) {
-            Ok(Some((ChannelFrame::Handshake(payload), _))) => {
-                let ConnPhase::Handshake(hs) = &mut conn.phase else {
-                    return false;
-                };
-                match hs.on_payload(&payload) {
-                    Ok(step) => {
-                        if let Some(channel) = step.established {
-                            conn.peer = Some(channel.peer_identity());
-                            conn.phase = ConnPhase::Established(channel);
-                            conn.frame_deadline = None;
-                            self.metrics.handshake_completed();
-                        }
-                        if let Some(reply) = step.reply {
-                            self.queue_bytes(token, &reply);
-                        }
-                        true
-                    }
-                    Err(e) => {
-                        self.fail_handshake(token, &e);
-                        false
-                    }
-                }
-            }
-            Ok(Some((ChannelFrame::Plaintext { frame, .. }, _))) => {
-                self.metrics.downgrade_refused();
-                let e = ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                };
-                self.fail_handshake(token, &e);
-                false
-            }
-            Ok(Some((ChannelFrame::Sealed(_), _))) => {
-                let e = ProtocolError::AuthFailure {
-                    detail: "sealed frame before the handshake finished".to_string(),
-                };
-                self.fail_handshake(token, &e);
-                false
-            }
+        let frame = match conn.frames.next_channel_frame(max) {
+            Ok(Some((frame, _))) => frame,
             Ok(None) => {
                 self.update_deadline(token, progressed);
-                false
+                return false;
+            }
+            Err(e) => {
+                self.fail_handshake(token, &e);
+                return false;
+            }
+        };
+        let ConnPhase::Handshake(hs) = &mut conn.phase else {
+            return false;
+        };
+        let step = frame
+            .into_handshake()
+            .inspect_err(|e| {
+                if matches!(e, ProtocolError::DowngradeRefused { .. }) {
+                    self.metrics.downgrade_refused();
+                }
+            })
+            .and_then(|payload| hs.on_payload(&payload));
+        match step {
+            Ok(step) => {
+                if let Some(channel) = step.established {
+                    conn.peer = Some(channel.peer_identity());
+                    conn.phase = ConnPhase::Established(channel);
+                    conn.frame_deadline = None;
+                    self.metrics.handshake_completed();
+                }
+                if let Some(reply) = step.reply {
+                    self.queue_bytes(token, &reply);
+                }
+                true
             }
             Err(e) => {
                 self.fail_handshake(token, &e);
@@ -910,89 +884,22 @@ impl EventLoop {
         }
     }
 
-    /// One established-phase pull: unseal a `DBHE` frame, parse exactly one
-    /// inner protocol frame out of it, ship it to the router. Tampered or
-    /// replayed seals, plaintext downgrades and stray handshake frames all
-    /// earn typed errors sealed back to the peer (the send direction
-    /// survives a receive failure), then a hangup.
+    /// One established-phase pull: a `DBHE` frame only
+    /// ([`into_sealed`](dubhe_select::protocol::ChannelFrame::into_sealed)),
+    /// unsealed, carrying exactly one inner protocol frame for the router.
+    /// Tampered or replayed seals, plaintext downgrades and stray handshake
+    /// frames all earn typed errors sealed back to the peer (the send
+    /// direction survives a receive failure), then a hangup.
     fn step_established(&mut self, token: usize, progressed: bool) -> bool {
         let max = self.config.max_frame_bytes;
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        match conn.frames.next_channel_frame(max) {
-            Ok(Some((ChannelFrame::Sealed(payload), wire_bytes))) => {
-                let ConnPhase::Established(channel) = &mut conn.phase else {
-                    return false;
-                };
-                let inner = match channel.open_payload(&payload) {
-                    Ok(inner) => inner,
-                    Err(e) => {
-                        // Tampered ciphertext or replayed/reordered
-                        // sequence: the receive direction is dead, the
-                        // connection with it.
-                        self.metrics.aead_rejection();
-                        self.fail_established(token, &e);
-                        return false;
-                    }
-                };
-                match read_frame_lazy(&mut &inner[..], max) {
-                    Ok((LazyMsg::Eager(WireMsg::Shutdown), _, _)) => {
-                        self.metrics.frame_received(wire_bytes);
-                        conn.closing = true;
-                        if conn.out.len() == conn.out_pos {
-                            self.close_conn(token, CloseReason::Clean);
-                        }
-                        false
-                    }
-                    Ok((msg, _, codec)) => {
-                        self.metrics.frame_received(wire_bytes);
-                        conn.codec = codec;
-                        let identity = conn.peer;
-                        if self
-                            .job_tx
-                            .send(Job {
-                                token,
-                                msg,
-                                codec,
-                                identity,
-                                started: Instant::now(),
-                            })
-                            .is_err()
-                        {
-                            self.close_conn(token, CloseReason::Clean);
-                            return false;
-                        }
-                        true
-                    }
-                    Err(e) => {
-                        self.metrics.decode_error();
-                        self.fail_established(token, &e);
-                        false
-                    }
-                }
-            }
-            Ok(Some((ChannelFrame::Plaintext { frame, .. }, _))) => {
-                // A plaintext protocol frame mid-session is a downgrade
-                // attempt (or an unauthenticated splice); refused.
-                self.metrics.downgrade_refused();
-                let e = ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                };
-                self.fail_established(token, &e);
-                false
-            }
-            Ok(Some((ChannelFrame::Handshake(_), _))) => {
-                self.metrics.decode_error();
-                let e = ProtocolError::AuthFailure {
-                    detail: "handshake frame after the channel was established".to_string(),
-                };
-                self.fail_established(token, &e);
-                false
-            }
+        let (frame, wire_bytes) = match conn.frames.next_channel_frame(max) {
+            Ok(Some(pulled)) => pulled,
             Ok(None) => {
                 self.update_deadline(token, progressed);
-                false
+                return false;
             }
             Err(e) => {
                 match e {
@@ -1002,9 +909,70 @@ impl EventLoop {
                     _ => self.metrics.decode_error(),
                 }
                 self.fail_established(token, &e);
+                return false;
+            }
+        };
+        let ConnPhase::Established(channel) = &mut conn.phase else {
+            return false;
+        };
+        let metrics = &self.metrics;
+        let decoded = frame
+            .into_sealed()
+            .inspect_err(|e| match e {
+                ProtocolError::DowngradeRefused { .. } => metrics.downgrade_refused(),
+                _ => metrics.decode_error(),
+            })
+            // A tampered ciphertext or a replayed/reordered sequence kills
+            // the receive direction, and the connection with it.
+            .and_then(|payload| {
+                channel
+                    .open_payload(&payload)
+                    .inspect_err(|_| metrics.aead_rejection())
+            })
+            .and_then(|inner| decode_frame(inner, max).inspect_err(|_| metrics.decode_error()));
+        match decoded {
+            Ok((msg, _, codec)) => self.dispatch(token, msg, wire_bytes, codec),
+            Err(e) => {
+                self.fail_established(token, &e);
                 false
             }
         }
+    }
+
+    /// Hands one decoded request to the router — or, for a shutdown frame,
+    /// closes once the write queue drains. Returns whether to keep pulling.
+    fn dispatch(
+        &mut self,
+        token: usize,
+        msg: LazyMsg,
+        wire_bytes: usize,
+        codec: CodecKind,
+    ) -> bool {
+        self.metrics.frame_received(wire_bytes);
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        if matches!(msg, LazyMsg::Eager(WireMsg::Shutdown)) {
+            conn.closing = true;
+            if conn.out.len() == conn.out_pos {
+                self.close_conn(token, CloseReason::Clean);
+            }
+            return false;
+        }
+        conn.codec = codec;
+        let job = Job {
+            token,
+            msg,
+            codec,
+            identity: conn.peer,
+            started: Instant::now(),
+        };
+        if self.job_tx.send(job).is_err() {
+            // Router gone: the listener is shutting down.
+            self.close_conn(token, CloseReason::Clean);
+            return false;
+        }
+        true
     }
 
     /// Maintains the stall deadline after a pull came up short. A
@@ -1116,18 +1084,8 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let written = if let ConnPhase::Established(channel) = &mut conn.phase {
-            let mut inner = Vec::new();
-            write_frame_limited(&mut inner, msg, codec, max).map(|_| {
-                let sealed = channel.seal_frame(&inner);
-                conn.out.extend_from_slice(&sealed);
-                sealed.len()
-            })
-        } else {
-            write_frame_limited(&mut conn.out, msg, codec, max)
-        };
-        match written {
-            Ok(written) => {
+        match append_frame(&mut conn.out, msg, codec, max, conn.phase.channel()) {
+            Ok((_, written)) => {
                 conn.queued_total += written as u64;
                 conn.pending_sends.push_back(PendingSend {
                     end: conn.queued_total,

@@ -12,8 +12,9 @@
 //!
 //! ## Wire formats
 //!
-//! Two new frame magics join `DBH1`/`DBH2`/`DBHZ`, both length-prefixed the
-//! same way (`magic + u32 BE length + payload`):
+//! Two frame magics join `DBH1`/`DBH2`, both length-prefixed the same way
+//! (`magic + u32 BE length + payload`); like every frame, they are parsed
+//! and classified in [`super::wire`]:
 //!
 //! ```text
 //! DBHS — handshake:  payload is one handshake message (below)
@@ -21,7 +22,7 @@
 //! ```
 //!
 //! A sealed payload decrypts to one complete *inner* plaintext frame
-//! (`DBH1`/`DBH2`/`DBHZ`), so codec negotiation, lazy registry deferral and
+//! (`DBH1`/`DBH2`), so codec negotiation, lazy registry deferral and
 //! frame-size limits all apply unchanged inside the channel. The AEAD's
 //! associated data covers the `DBHE` magic and the sequence number: a
 //! spliced or re-sequenced frame fails the tag even if its ciphertext is
@@ -53,20 +54,14 @@
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use mini_crypto::{hkdf, hmac_sha256, sha256, ChaCha20Poly1305, PublicKey, StaticSecret, TAG_LEN};
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use super::codec::CodecKind;
-use super::wire::read_exact_or;
+use super::wire::{frame_header, read_channel_frame, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED};
 use crate::error::ProtocolError;
-
-/// The 4-byte preamble of a handshake (`DBHS`) frame.
-pub const FRAME_MAGIC_HANDSHAKE: [u8; 4] = *b"DBHS";
-
-/// The 4-byte preamble of a sealed (`DBHE`) frame.
-pub const FRAME_MAGIC_SEALED: [u8; 4] = *b"DBHE";
 
 /// Fixed per-frame overhead a sealed frame adds on the wire: the `DBHE`
 /// header (magic + length) plus the sequence number and the AEAD tag. The
@@ -86,7 +81,7 @@ pub const HANDSHAKE_WIRE_BYTES: usize = (8 + HELLO_LEN) + (8 + M2_LEN) + (8 + CO
 /// Whether a connection endpoint runs the authenticated channel.
 ///
 /// `Plaintext` keeps the historical behaviour (frames travel as bare
-/// `DBH1`/`DBH2`/`DBHZ`) — loopback benches stay unauthenticated *by
+/// `DBH1`/`DBH2`) — loopback benches stay unauthenticated *by
 /// choice*. `Required` refuses every plaintext protocol frame with a typed
 /// [`ProtocolError::DowngradeRefused`], before, during and after the
 /// handshake.
@@ -218,18 +213,22 @@ impl SecureChannel {
 
     /// Seals one inner plaintext frame into a complete `DBHE` wire frame.
     pub fn seal_frame(&mut self, inner: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
+        self.seal_into(&mut frame, inner);
+        frame
+    }
+
+    /// [`seal_frame`](Self::seal_frame), appending the `DBHE` frame to `out`.
+    pub(crate) fn seal_into(&mut self, out: &mut Vec<u8>, inner: &[u8]) {
         let seq = self.send_seq;
         self.send_seq += 1;
         let mut aad = [0u8; 12];
         aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
         aad[4..].copy_from_slice(&seq.to_be_bytes());
         let sealed = self.send.seal(&nonce_for(seq), &aad, inner);
-        let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
-        frame.extend_from_slice(&FRAME_MAGIC_SEALED);
-        frame.extend_from_slice(&((8 + sealed.len()) as u32).to_be_bytes());
-        frame.extend_from_slice(&seq.to_be_bytes());
-        frame.extend_from_slice(&sealed);
-        frame
+        out.extend_from_slice(&frame_header(FRAME_MAGIC_SEALED, 8 + sealed.len()));
+        out.extend_from_slice(&seq.to_be_bytes());
+        out.extend_from_slice(&sealed);
     }
 
     /// Opens one `DBHE` payload (`seq || ciphertext || tag`), returning the
@@ -319,78 +318,15 @@ fn channel_from(keys: &SessionKeys, is_client: bool, peer: [u8; 32]) -> SecureCh
 
 // ------------------------------------------------------------ raw framing
 
-/// One frame pulled off a channel-aware socket, still undecoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelFrame {
-    /// A `DBHS` handshake message.
-    Handshake(Vec<u8>),
-    /// A `DBHE` sealed payload (`seq || ciphertext || tag`).
-    Sealed(Vec<u8>),
-    /// A plaintext protocol frame (`DBH1`/`DBH2`/`DBHZ`): the *entire*
-    /// frame bytes, header included, so a `Plaintext`-policy caller can
-    /// re-parse it with the ordinary wire readers.
-    Plaintext {
-        /// The plaintext codec the magic announced.
-        codec: CodecKind,
-        /// The full frame (magic + length + payload).
-        frame: Vec<u8>,
-    },
-}
-
 /// Writes one `DBHS` frame, returning the bytes put on the wire.
 pub fn write_handshake_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<usize, ProtocolError> {
-    w.write_all(&FRAME_MAGIC_HANDSHAKE)
-        .map_err(|e| io_error("write handshake frame", e))?;
-    w.write_all(&(payload.len() as u32).to_be_bytes())
+    w.write_all(&frame_header(FRAME_MAGIC_HANDSHAKE, payload.len()))
         .map_err(|e| io_error("write handshake frame", e))?;
     w.write_all(payload)
         .map_err(|e| io_error("write handshake frame", e))?;
     w.flush()
         .map_err(|e| io_error("write handshake frame", e))?;
     Ok(8 + payload.len())
-}
-
-/// Reads one frame of *any* known magic — handshake, sealed or plaintext —
-/// returning it with the total bytes consumed. This is the read primitive
-/// of channel-aware blocking paths: the caller decides which variants its
-/// policy and phase accept (a `Required` endpoint maps
-/// [`ChannelFrame::Plaintext`] to [`ProtocolError::DowngradeRefused`]).
-pub fn read_channel_frame<R: Read>(
-    r: &mut R,
-    max_frame_bytes: usize,
-) -> Result<(ChannelFrame, usize), ProtocolError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(r, &mut magic, "header", true)?;
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "header", false)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    // Sealed frames may exceed the inner ceiling by exactly the seal.
-    let ceiling = max_frame_bytes + SEALED_FRAME_OVERHEAD;
-    if len > ceiling {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "payload", false)?;
-    let total = 8 + len;
-    if magic == FRAME_MAGIC_HANDSHAKE {
-        return Ok((ChannelFrame::Handshake(payload), total));
-    }
-    if magic == FRAME_MAGIC_SEALED {
-        return Ok((ChannelFrame::Sealed(payload), total));
-    }
-    if let Some(codec) = CodecKind::from_magic(magic) {
-        let mut frame = Vec::with_capacity(total);
-        frame.extend_from_slice(&magic);
-        frame.extend_from_slice(&len_bytes);
-        frame.extend_from_slice(&payload);
-        return Ok((ChannelFrame::Plaintext { codec, frame }, total));
-    }
-    Err(ProtocolError::MalformedFrame {
-        detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHZ, DBHS or DBHE"),
-    })
 }
 
 // ------------------------------------------------------- client handshake
@@ -413,20 +349,9 @@ pub fn client_handshake<S: Read + Write>(
     m1[32..].copy_from_slice(&eph_pub);
     write_handshake_frame(stream, &m1)?;
 
-    let (frame, _) = read_channel_frame(stream, max_frame_bytes)?;
-    let m2 = match frame {
-        ChannelFrame::Handshake(payload) => payload,
-        ChannelFrame::Plaintext { frame, .. } => {
-            return Err(ProtocolError::DowngradeRefused {
-                magic: frame[..4].try_into().expect("4-byte magic"),
-            })
-        }
-        ChannelFrame::Sealed(_) => {
-            return Err(ProtocolError::AuthFailure {
-                detail: "server sent a sealed frame before the handshake finished".to_string(),
-            })
-        }
-    };
+    let m2 = read_channel_frame(stream, max_frame_bytes)?
+        .0
+        .into_handshake()?;
     if m2.len() != M2_LEN {
         return Err(ProtocolError::AuthFailure {
             detail: format!("server hello is {} bytes, expected {M2_LEN}", m2.len()),
@@ -535,8 +460,7 @@ impl ServerHandshake {
                 m2.extend_from_slice(&hello);
                 m2.extend_from_slice(&confirm_tag(&keys, b"server"));
                 let mut reply = Vec::with_capacity(8 + M2_LEN);
-                reply.extend_from_slice(&FRAME_MAGIC_HANDSHAKE);
-                reply.extend_from_slice(&(m2.len() as u32).to_be_bytes());
+                reply.extend_from_slice(&frame_header(FRAME_MAGIC_HANDSHAKE, m2.len()));
                 reply.extend_from_slice(&m2);
 
                 self.state = ServerHandshakeState::AwaitConfirm {
@@ -586,13 +510,13 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// runs are reproducible while a thundering herd still spreads out.
 #[derive(Debug, Clone)]
 pub struct RetrySchedule {
-    base: std::time::Duration,
+    base: Duration,
     rng: rand::rngs::StdRng,
 }
 
 impl RetrySchedule {
     /// A schedule starting at `base` delay, jitter-seeded with `seed`.
-    pub fn new(base: std::time::Duration, seed: u64) -> RetrySchedule {
+    pub fn new(base: Duration, seed: u64) -> RetrySchedule {
         RetrySchedule {
             base,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
@@ -600,7 +524,7 @@ impl RetrySchedule {
     }
 
     /// The delay before retry number `attempt` (0-based), jitter included.
-    pub fn delay(&mut self, attempt: u32) -> std::time::Duration {
+    pub fn delay(&mut self, attempt: u32) -> Duration {
         let base_ns = self.base.as_nanos() as u64;
         let backoff = base_ns.saturating_mul(1u64 << attempt.min(16));
         let jitter = if base_ns == 0 {
@@ -608,7 +532,42 @@ impl RetrySchedule {
         } else {
             self.rng.next_u64() % base_ns
         };
-        std::time::Duration::from_nanos(backoff.saturating_add(jitter))
+        Duration::from_nanos(backoff.saturating_add(jitter))
+    }
+
+    /// The connect-retry loop: runs `connect` up to `attempts` times (at
+    /// least once), sleeping this schedule's backoff between tries.
+    /// *Transient* failures — socket errors, disconnects, truncated
+    /// handshakes: a coordinator that is still binding its port or
+    /// restarting — are retried. Deterministic refusals — authentication
+    /// failures, a wrong pinned server key, downgrades — return at once:
+    /// repeating them cannot help and would hammer a peer that already said
+    /// no. A single attempt surfaces its raw error; with more, exhaustion
+    /// surfaces [`ProtocolError::RetriesExhausted`].
+    pub fn retry<T>(
+        mut self,
+        attempts: usize,
+        mut connect: impl FnMut() -> Result<T, ProtocolError>,
+    ) -> Result<T, ProtocolError> {
+        let attempts = attempts.max(1);
+        let mut last = None;
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                std::thread::sleep(self.delay(attempt as u32 - 1));
+            }
+            match connect() {
+                Err(
+                    e @ (ProtocolError::Io { .. }
+                    | ProtocolError::Disconnected
+                    | ProtocolError::TruncatedFrame { .. }),
+                ) => last = Some(e),
+                done => return done,
+            }
+        }
+        match last {
+            Some(e) if attempts == 1 => Err(e),
+            _ => Err(ProtocolError::RetriesExhausted { attempts }),
+        }
     }
 }
 
@@ -767,6 +726,9 @@ mod tests {
 
     #[test]
     fn channel_frames_parse_by_magic() {
+        use crate::protocol::codec::CodecKind;
+        use crate::protocol::wire::ChannelFrame;
+
         // Handshake frame round-trips.
         let mut buf = Vec::new();
         write_handshake_frame(&mut buf, b"hello").unwrap();
@@ -786,8 +748,12 @@ mod tests {
             other => panic!("expected plaintext, got {other:?}"),
         }
 
-        // Unknown magic is malformed; truncation is typed.
+        // Unknown magic is malformed, refused before the announced length is
+        // read or allocated (here 1 MiB); truncation is typed.
         let err = read_channel_frame(&mut &b"EVIL\x00\x00\x00\x00"[..], 1 << 20).unwrap_err();
+        assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        let garbage = b"HTTP\x00\x10\x00\x00";
+        let err = read_channel_frame(&mut &garbage[..], 1 << 20).unwrap_err();
         assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
         let err = read_channel_frame(&mut &buf[..3], 1 << 20).unwrap_err();
         assert!(matches!(err, ProtocolError::TruncatedFrame { .. }), "{err}");

@@ -59,7 +59,7 @@ use dubhe_he::transport::{private_key_size_bytes, public_key_size_bytes};
 use serde::{Deserialize, Serialize};
 
 use super::message::{Envelope, Party, ProtocolMsg};
-use super::wire::WireMsg;
+use super::wire::{WireMsg, FRAME_MAGIC, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 use dubhe_he::HeError;
 
@@ -86,37 +86,31 @@ pub enum CodecKind {
     Json,
     /// `DBH2`: canonical binary payloads.
     Binary,
-    /// `DBHZ`: `DBH1` JSON payloads under transparent per-frame LZSS
-    /// compression (see [`super::compress`]).
-    JsonLz,
 }
 
 impl CodecKind {
     /// The 4-byte frame magic announcing this codec.
     pub fn magic(self) -> [u8; 4] {
         match self {
-            CodecKind::Json => *b"DBH1",
-            CodecKind::Binary => *b"DBH2",
-            CodecKind::JsonLz => *b"DBHZ",
+            CodecKind::Json => FRAME_MAGIC,
+            CodecKind::Binary => FRAME_MAGIC_V2,
         }
     }
 
     /// Resolves a frame magic to its codec, if known.
     pub fn from_magic(magic: [u8; 4]) -> Option<CodecKind> {
-        match &magic {
-            b"DBH1" => Some(CodecKind::Json),
-            b"DBH2" => Some(CodecKind::Binary),
-            b"DBHZ" => Some(CodecKind::JsonLz),
+        match magic {
+            FRAME_MAGIC => Some(CodecKind::Json),
+            FRAME_MAGIC_V2 => Some(CodecKind::Binary),
             _ => None,
         }
     }
 
-    /// The wire-format name (`"DBH1"` / `"DBH2"` / `"DBHZ"`).
+    /// The wire-format name (`"DBH1"` / `"DBH2"`).
     pub fn name(self) -> &'static str {
         match self {
             CodecKind::Json => "DBH1",
             CodecKind::Binary => "DBH2",
-            CodecKind::JsonLz => "DBHZ",
         }
     }
 
@@ -125,7 +119,6 @@ impl CodecKind {
         match self {
             CodecKind::Json => &JsonCodec,
             CodecKind::Binary => &BinaryCodec,
-            CodecKind::JsonLz => &CompressedJsonCodec,
         }
     }
 
@@ -173,31 +166,6 @@ impl WireCodec for JsonCodec {
         serde_json::from_str(text).map_err(|e| ProtocolError::MalformedFrame {
             detail: format!("payload is not a wire message: {e}"),
         })
-    }
-}
-
-/// The `DBHZ` payload codec: the exact `DBH1` JSON rendering, LZSS-
-/// compressed per frame (see [`super::compress`]).
-///
-/// Compatibility is inherited from [`JsonCodec`] — inflate a `DBHZ`
-/// payload and a legacy DBH1 peer could read it verbatim. The declared
-/// inflated length is capped at the default frame ceiling, so a
-/// decompression bomb is refused before a byte of it is inflated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompressedJsonCodec;
-
-impl WireCodec for CompressedJsonCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::JsonLz
-    }
-
-    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        Ok(super::compress::compress(&JsonCodec.encode(msg)?))
-    }
-
-    fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-        let inflated = super::compress::decompress(payload, super::wire::MAX_FRAME_BYTES)?;
-        JsonCodec.decode(&inflated)
     }
 }
 
@@ -846,7 +814,7 @@ mod tests {
     #[test]
     fn every_variant_round_trips_through_both_codecs() {
         for msg in sample_msgs() {
-            for kind in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+            for kind in [CodecKind::Json, CodecKind::Binary] {
                 let payload = kind.encode(&msg).unwrap();
                 let back = kind.decode(&payload).unwrap();
                 assert_eq!(back, msg, "{} round trip", kind.name());
@@ -999,11 +967,12 @@ mod tests {
 
     #[test]
     fn magic_negotiation_is_a_bijection() {
-        for kind in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+        for kind in [CodecKind::Json, CodecKind::Binary] {
             assert_eq!(CodecKind::from_magic(kind.magic()), Some(kind));
             assert_eq!(kind.as_codec().kind(), kind);
         }
         assert_eq!(CodecKind::from_magic(*b"DBH3"), None);
+        assert_eq!(CodecKind::from_magic(*b"DBHZ"), None);
         assert_eq!(CodecKind::from_magic(*b"HTTP"), None);
     }
 

@@ -85,7 +85,6 @@
 
 pub mod channel;
 pub mod codec;
-pub mod compress;
 pub mod driver;
 pub mod fault;
 pub mod message;
@@ -98,11 +97,10 @@ pub mod transport;
 pub mod wire;
 
 pub use channel::{
-    client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame, ChannelPolicy,
-    NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake, FRAME_MAGIC_HANDSHAKE,
-    FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
+    client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule,
+    SecureChannel, ServerHandshake, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
-pub use codec::{BinaryCodec, CodecKind, CompressedJsonCodec, JsonCodec, RegistryFrame, WireCodec};
+pub use codec::{BinaryCodec, CodecKind, JsonCodec, RegistryFrame, WireCodec};
 pub use driver::{
     pump, run_registration, run_registration_with, run_registration_with_packing, run_try,
     run_try_with_dropouts, RegistrationRun,
@@ -116,7 +114,7 @@ pub use stats::{LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats
 pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{
-    read_frame, read_frame_lazy, read_frame_limited, read_frame_negotiated, write_frame,
-    write_frame_limited, write_frame_with, LazyMsg, WireMsg, FRAME_MAGIC, FRAME_MAGIC_V2,
-    MAX_FRAME_BYTES,
+    read_channel_frame, read_frame, read_frame_lazy, read_frame_limited, write_frame,
+    write_frame_limited, write_frame_with, ChannelFrame, LazyMsg, WireMsg, FRAME_MAGIC,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };

@@ -20,21 +20,23 @@
 //! as [`ProtocolError`] — never a panic, never an unbounded hang. Every read
 //! of a reply is bounded by [`TcpConfig::read_timeout`].
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use super::channel::{
-    client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame, ChannelPolicy,
-    NodeIdentity, RetrySchedule, SecureChannel, HANDSHAKE_WIRE_BYTES,
+    client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule,
+    SecureChannel, HANDSHAKE_WIRE_BYTES,
 };
 use super::codec::CodecKind;
 use super::message::Envelope;
 use super::roles::Coordinator;
 use super::transport::TransportStats;
-use super::wire::{read_frame_limited, write_frame_limited, WireMsg, MAX_FRAME_BYTES};
+use super::wire::{
+    append_frame, open_reply, read_channel_frame, read_frame_limited, WireMsg, MAX_FRAME_BYTES,
+};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
 
@@ -274,37 +276,14 @@ impl TcpTransport {
 
     /// Connects with every socket knob spelled out in a [`TcpConfig`].
     ///
-    /// With `connect_attempts > 1`, *transient* failures (socket errors,
-    /// disconnects, truncated handshakes — a coordinator that is still
-    /// binding its port or restarting) are retried under bounded
-    /// exponential backoff with deterministic jitter; exhaustion surfaces
-    /// [`ProtocolError::RetriesExhausted`]. Deterministic refusals —
-    /// authentication failures, a wrong pinned server key, downgrades —
-    /// are *never* retried: repeating them cannot help and would hammer a
-    /// peer that already said no.
+    /// With `connect_attempts > 1`, transient failures are retried under
+    /// bounded exponential backoff with deterministic jitter, and
+    /// deterministic refusals never are (see [`RetrySchedule::retry`]).
     pub fn connect_with_config(addr: SocketAddr, config: TcpConfig) -> Result<Self, ProtocolError> {
-        let attempts = config.connect_attempts.max(1);
-        let mut schedule = RetrySchedule::new(config.retry_base, config.retry_seed);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(schedule.delay(attempt as u32 - 1));
-            }
-            match Self::connect_once(addr, &config) {
-                Ok(transport) => return Ok(transport),
-                Err(
-                    e @ (ProtocolError::Io { .. }
-                    | ProtocolError::Disconnected
-                    | ProtocolError::TruncatedFrame { .. }),
-                ) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if attempts == 1 {
-            Err(last.expect("one failed attempt recorded"))
-        } else {
-            Err(ProtocolError::RetriesExhausted { attempts })
-        }
+        RetrySchedule::new(config.retry_base, config.retry_seed)
+            .retry(config.connect_attempts, || {
+                Self::connect_once(addr, &config)
+            })
     }
 
     /// One dial + (policy permitting) handshake.
@@ -408,63 +387,45 @@ impl TcpTransport {
         self.channel.as_ref().map(|c| c.peer_identity())
     }
 
-    /// Sends one wire message and reads the peer's single reply frame —
-    /// bare on a plaintext connection, sealed end-to-end on a channel.
-    fn request(&mut self, msg: &WireMsg) -> Result<WireMsg, ProtocolError> {
-        if self.channel.is_none() {
-            let written =
-                write_frame_limited(self.reader.get_mut(), msg, self.codec, self.max_frame_bytes)?;
-            self.wire.frames_sent += 1;
-            self.wire.bytes_sent += written;
-            let (reply, read, _) = read_frame_limited(&mut self.reader, self.max_frame_bytes)?;
-            self.wire.frames_received += 1;
-            self.wire.bytes_received += read;
-            return Ok(reply);
-        }
-        // Encode the inner plaintext frame, seal it, put one DBHE frame on
-        // the wire. The ledger-facing counters meter the *inner* bytes; the
-        // seal's cost goes to the channel-overhead counters.
-        let mut inner = Vec::new();
-        let inner_len = write_frame_limited(&mut inner, msg, self.codec, self.max_frame_bytes)?;
-        let sealed = self
-            .channel
-            .as_mut()
-            .expect("channel checked above")
-            .seal_frame(&inner);
-        {
-            use std::io::Write as _;
-            let stream = self.reader.get_mut();
-            stream
-                .write_all(&sealed)
-                .map_err(|e| io_error("write sealed frame", e))?;
-            stream
-                .flush()
-                .map_err(|e| io_error("write sealed frame", e))?;
-        }
+    /// Puts one frame on the socket — bare on a plaintext connection,
+    /// sealed on a channel. The ledger-facing counters meter the *inner*
+    /// frame bytes; the seal's cost goes to the channel-overhead counters.
+    fn send(&mut self, msg: &WireMsg) -> Result<(), ProtocolError> {
+        let mut frame = Vec::new();
+        let (inner, wire) = append_frame(
+            &mut frame,
+            msg,
+            self.codec,
+            self.max_frame_bytes,
+            self.channel.as_mut(),
+        )?;
+        let stream = self.reader.get_mut();
+        stream
+            .write_all(&frame)
+            .and_then(|()| stream.flush())
+            .map_err(|e| io_error("write frame", e))?;
         self.wire.frames_sent += 1;
-        self.wire.bytes_sent += inner_len;
-        self.wire.sealed_overhead_bytes += sealed.len() - inner_len;
+        self.wire.bytes_sent += inner;
+        self.wire.sealed_overhead_bytes += wire - inner;
+        Ok(())
+    }
 
-        let (frame, wire_read) = read_channel_frame(&mut self.reader, self.max_frame_bytes)?;
-        let payload = match frame {
-            ChannelFrame::Sealed(payload) => payload,
-            ChannelFrame::Plaintext { frame, .. } => {
-                return Err(ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                })
+    /// Sends one wire message and reads the peer's single reply frame —
+    /// which must be sealed on a channel connection.
+    fn request(&mut self, msg: &WireMsg) -> Result<WireMsg, ProtocolError> {
+        self.send(msg)?;
+        let (reply, read, wire_read) = match self.channel.as_mut() {
+            None => {
+                let (reply, read, _) = read_frame_limited(&mut self.reader, self.max_frame_bytes)?;
+                (reply, read, read)
             }
-            ChannelFrame::Handshake(_) => {
-                return Err(ProtocolError::AuthFailure {
-                    detail: "handshake frame after the channel was established".to_string(),
-                })
+            Some(channel) => {
+                let (frame, wire_read) =
+                    read_channel_frame(&mut self.reader, self.max_frame_bytes)?;
+                let (reply, read) = open_reply(channel, frame, self.max_frame_bytes)?;
+                (reply, read, wire_read)
             }
         };
-        let opened = self
-            .channel
-            .as_mut()
-            .expect("channel checked above")
-            .open_payload(&payload)?;
-        let (reply, read, _) = read_frame_limited(&mut &opened[..], self.max_frame_bytes)?;
         self.wire.frames_received += 1;
         self.wire.bytes_received += read;
         self.wire.sealed_overhead_bytes += wire_read - read;
@@ -500,40 +461,7 @@ impl TcpTransport {
 
     /// Ends the session politely; the listener closes the connection.
     pub fn shutdown(mut self) -> Result<(), ProtocolError> {
-        match self.channel.as_mut() {
-            None => {
-                let written = write_frame_limited(
-                    self.reader.get_mut(),
-                    &WireMsg::Shutdown,
-                    self.codec,
-                    self.max_frame_bytes,
-                )?;
-                self.wire.frames_sent += 1;
-                self.wire.bytes_sent += written;
-            }
-            Some(channel) => {
-                use std::io::Write as _;
-                let mut inner = Vec::new();
-                let inner_len = write_frame_limited(
-                    &mut inner,
-                    &WireMsg::Shutdown,
-                    self.codec,
-                    self.max_frame_bytes,
-                )?;
-                let sealed = channel.seal_frame(&inner);
-                let stream = self.reader.get_mut();
-                stream
-                    .write_all(&sealed)
-                    .map_err(|e| io_error("write sealed frame", e))?;
-                stream
-                    .flush()
-                    .map_err(|e| io_error("write sealed frame", e))?;
-                self.wire.frames_sent += 1;
-                self.wire.bytes_sent += inner_len;
-                self.wire.sealed_overhead_bytes += sealed.len() - inner_len;
-            }
-        }
-        Ok(())
+        self.send(&WireMsg::Shutdown)
     }
 }
 

@@ -1,41 +1,66 @@
-//! The framed wire layer of the networked transport.
+//! The frame layer of the networked transport: the one module that knows
+//! the frame format.
 //!
 //! Every message on a protocol socket is one *frame*:
 //!
 //! ```text
-//! +-----------------+-----------------+----------------------+
-//! | magic           | payload length  | payload              |
-//! | "DBH1" / "DBH2" | u32, big-endian | codec-encoded WireMsg|
-//! +-----------------+-----------------+----------------------+
+//! +-----------------+-----------------+----------------------------+
+//! | magic           | payload length  | payload                    |
+//! | 4 bytes         | u32, big-endian | `length` bytes             |
+//! +-----------------+-----------------+----------------------------+
 //! ```
 //!
-//! The magic names the payload codec ([`CodecKind`]): `DBH1` frames carry
-//! JSON, `DBH2` frames carry the canonical binary encoding — see
-//! [`super::codec`]. [`read_frame_negotiated`] dispatches on the magic, which
-//! is what lets one listener serve both formats per connection.
+//! Four magics exist ([`FrameKind`]):
 //!
-//! The framing is std-only (`std::io::Read`/`Write` over any byte stream —
-//! `std::net::TcpStream` in production, `&[u8]` cursors in tests) and
-//! defensive by construction:
+//! * `DBH1` — a protocol frame whose payload is a [`WireMsg`] as JSON;
+//! * `DBH2` — a protocol frame whose payload is the canonical binary
+//!   encoding (see [`super::codec`]);
+//! * `DBHS` — one message of the authenticated channel's handshake;
+//! * `DBHE` — a sealed frame, `seq (u64 BE) ‖ ciphertext ‖ tag`, that opens
+//!   to exactly one inner `DBH1`/`DBH2` frame (see [`super::channel`]).
 //!
-//! * a frame that does not start with a known magic is rejected as
-//!   [`ProtocolError::MalformedFrame`] before any allocation happens;
-//! * the announced payload length is checked against [`MAX_FRAME_BYTES`]
-//!   ([`ProtocolError::FrameTooLarge`]) so garbage or hostile headers cannot
-//!   make the receiver allocate unboundedly;
-//! * a stream that ends mid-frame surfaces
-//!   [`ProtocolError::TruncatedFrame`]; a stream that ends cleanly *between*
-//!   frames surfaces [`ProtocolError::Disconnected`] — callers that expected
-//!   more exchange treat both as errors, never as silence.
+//! A protocol magic names the payload codec ([`CodecKind`]) and a listener
+//! replies in the codec a request arrived in, which is the whole
+//! per-connection codec negotiation.
+//!
+//! Every decision about the format is made here, once:
+//!
+//! * [`check_header`] is the one header check, shared by the blocking
+//!   readers below and `dubhe-net`'s incremental `FrameBuffer`. The magic
+//!   is checked first: an unknown one is [`ProtocolError::MalformedFrame`]
+//!   as soon as its four bytes arrive, before any allocation. Then the
+//!   announced length is checked against the caller's ceiling
+//!   ([`ProtocolError::FrameTooLarge`]), so garbage or hostile headers
+//!   cannot make the receiver allocate unboundedly. A protocol-frame
+//!   reader's ceiling is `max_frame_bytes`; a channel-frame reader's is
+//!   `max_frame_bytes +` [`SEALED_FRAME_OVERHEAD`], since a seal may exceed
+//!   the inner ceiling by exactly itself.
+//! * [`decode_lazy`] is the one payload decode, and the home of the `DBH2`
+//!   registry-deferral rule ([`LazyMsg`]).
+//! * [`append_frame`] is the one encode: bare, or sealed when a channel is
+//!   up.
+//! * [`ChannelFrame::into_handshake`] and [`ChannelFrame::into_sealed`] are
+//!   the phase rules of a channel connection; [`open_reply`] is the
+//!   clients' sealed-only receive.
+//!
+//! The blocking readers are std-only (`std::io::Read` over any byte stream:
+//! `std::net::TcpStream` in production, `&[u8]` cursors in tests). A stream
+//! that ends mid-frame surfaces [`ProtocolError::TruncatedFrame`]; a stream
+//! that ends cleanly *between* frames surfaces
+//! [`ProtocolError::Disconnected`]. Callers that expected more exchange
+//! treat both as errors, never as silence. With a read timeout set on the
+//! stream, a silent peer surfaces as [`ProtocolError::Io`] when it elapses.
 //!
 //! [`WireMsg`] wraps the protocol-level [`Envelope`] with the small control
 //! vocabulary a client ↔ coordinator session needs (try announcements,
 //! reply batches, relayed errors, shutdown).
 
 use std::io::{ErrorKind, Read, Write};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use super::channel::{SecureChannel, SEALED_FRAME_OVERHEAD};
 use super::codec::{CodecKind, RegistryFrame};
 use super::message::Envelope;
 use crate::error::ProtocolError;
@@ -48,6 +73,15 @@ pub const FRAME_MAGIC: [u8; 4] = *b"DBH1";
 /// The 4-byte preamble of a canonical-binary (`DBH2`) frame. Equal to
 /// [`CodecKind::Binary.magic()`](CodecKind::magic).
 pub const FRAME_MAGIC_V2: [u8; 4] = *b"DBH2";
+
+/// The 4-byte preamble of a handshake (`DBHS`) frame.
+pub const FRAME_MAGIC_HANDSHAKE: [u8; 4] = *b"DBHS";
+
+/// The 4-byte preamble of a sealed (`DBHE`) frame.
+pub const FRAME_MAGIC_SEALED: [u8; 4] = *b"DBHE";
+
+/// Magic (4) + big-endian payload length (4).
+pub const HEADER_BYTES: usize = 8;
 
 /// Upper bound on a frame payload. Generous: the largest legitimate message
 /// is a broadcast batch of full-length encrypted registries under 2048-bit
@@ -121,6 +155,269 @@ fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
     }
 }
 
+// ------------------------------------------------------------------ header
+
+/// What a frame's magic announces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A `DBH1`/`DBH2` protocol frame carrying a [`WireMsg`] in this codec.
+    Protocol(CodecKind),
+    /// A `DBHS` handshake message.
+    Handshake,
+    /// A `DBHE` sealed frame.
+    Sealed,
+}
+
+/// Which frames a reader accepts, and so which ceiling it applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Accept {
+    /// `DBH1`/`DBH2` only, payload at most `max_frame_bytes`.
+    Protocol,
+    /// All four magics, payload at most `max_frame_bytes +`
+    /// [`SEALED_FRAME_OVERHEAD`].
+    Channel,
+}
+
+/// A frame header that passed [`check_header`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    kind: FrameKind,
+    /// The announced payload length, within the reader's ceiling.
+    len: usize,
+}
+
+impl FrameHeader {
+    /// What the magic announces.
+    pub fn kind(&self) -> FrameKind {
+        self.kind
+    }
+
+    /// The bytes of the whole frame: header plus payload.
+    pub fn total(&self) -> usize {
+        HEADER_BYTES + self.len
+    }
+
+    /// The payload codec of a protocol frame (the only kind an
+    /// [`Accept::Protocol`] reader lets through).
+    fn codec(&self) -> CodecKind {
+        match self.kind {
+            FrameKind::Protocol(codec) => codec,
+            _ => unreachable!("protocol readers accept only DBH1/DBH2 headers"),
+        }
+    }
+
+    /// Where the bytes a [`ChannelFrame`] keeps begin within the frame: a
+    /// protocol frame is kept whole, header included, so a plaintext-policy
+    /// caller can re-parse it; handshake and sealed frames keep their
+    /// payload.
+    pub fn kept_from(&self) -> usize {
+        match self.kind {
+            FrameKind::Protocol(_) => 0,
+            FrameKind::Handshake | FrameKind::Sealed => HEADER_BYTES,
+        }
+    }
+
+    /// Wraps `kept`, the frame's bytes from [`kept_from`](Self::kept_from)
+    /// on, as the [`ChannelFrame`] this header announces.
+    pub fn channel_frame(&self, kept: Vec<u8>) -> ChannelFrame {
+        match self.kind {
+            FrameKind::Protocol(codec) => ChannelFrame::Plaintext { codec, frame: kept },
+            FrameKind::Handshake => ChannelFrame::Handshake(kept),
+            FrameKind::Sealed => ChannelFrame::Sealed(kept),
+        }
+    }
+}
+
+/// The one frame-header check. `bytes` is what has arrived of the frame so
+/// far (more is ignored); `Ok(None)` means "too few bytes to decide yet".
+///
+/// The magic is checked as soon as its four bytes are there, so garbage is
+/// refused after 4 bytes rather than held until a phantom length dribbles
+/// in. Then the announced length is checked against the reader's ceiling,
+/// before any payload is buffered. Both failures are terminal for the
+/// connection: framing is lost once a header is bad.
+pub fn check_header(
+    bytes: &[u8],
+    max_frame_bytes: usize,
+    accept: Accept,
+) -> Result<Option<FrameHeader>, ProtocolError> {
+    let Some(magic) = bytes.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let kind = match (*magic, accept) {
+        (FRAME_MAGIC_HANDSHAKE, Accept::Channel) => FrameKind::Handshake,
+        (FRAME_MAGIC_SEALED, Accept::Channel) => FrameKind::Sealed,
+        _ => match CodecKind::from_magic(*magic) {
+            Some(codec) => FrameKind::Protocol(codec),
+            None => {
+                let expected = match accept {
+                    Accept::Protocol => "DBH1 or DBH2",
+                    Accept::Channel => "DBH1, DBH2, DBHS or DBHE",
+                };
+                return Err(ProtocolError::MalformedFrame {
+                    detail: format!("bad magic {magic:02x?}, expected {expected}"),
+                });
+            }
+        },
+    };
+    let Some(len) = bytes.get(4..HEADER_BYTES) else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(len.try_into().expect("4-byte length")) as usize;
+    let ceiling = match accept {
+        Accept::Protocol => max_frame_bytes,
+        Accept::Channel => max_frame_bytes.saturating_add(SEALED_FRAME_OVERHEAD),
+    };
+    if len > ceiling {
+        return Err(ProtocolError::FrameTooLarge {
+            len,
+            max: max_frame_bytes,
+        });
+    }
+    Ok(Some(FrameHeader { kind, len }))
+}
+
+/// The header of a frame with this magic and a payload of `len` bytes.
+pub(crate) fn frame_header(magic: [u8; 4], len: usize) -> [u8; HEADER_BYTES] {
+    let mut header = [0u8; HEADER_BYTES];
+    header[..4].copy_from_slice(&magic);
+    header[4..].copy_from_slice(&(len as u32).to_be_bytes());
+    header
+}
+
+// ----------------------------------------------------------------- payload
+
+/// A frame read whose payload decoding may have been *deferred*.
+///
+/// `DBH2` registry uploads — the coordinator's hot path — are recognised by
+/// their constant-size envelope prefix and shipped to the router as raw
+/// payload bytes ([`RegistryFrame`]); the router folds their ciphertext
+/// block through a borrowed view with zero per-element allocation. Every
+/// other frame decodes eagerly. See [`decode_lazy`].
+// The size gap between variants is irrelevant: a `LazyMsg` lives for one
+// dispatch — decoded off the socket, matched, and consumed — never stored
+// in collections, so boxing `WireMsg` would add an allocation to the hot
+// path to save stack bytes nobody keeps.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum LazyMsg {
+    /// A fully decoded message (everything that is not a `DBH2` registry).
+    Eager(WireMsg),
+    /// A recognised `DBH2` registry upload, still in frame-payload form.
+    DeferredRegistry(RegistryFrame),
+}
+
+impl LazyMsg {
+    /// Forces the message: deferred registries are materialised through the
+    /// eager decoder (same validation, same errors), decoded messages pass
+    /// through unchanged.
+    pub fn force(self) -> Result<WireMsg, ProtocolError> {
+        match self {
+            LazyMsg::Eager(msg) => Ok(msg),
+            LazyMsg::DeferredRegistry(frame) => Ok(WireMsg::Envelope {
+                envelope: frame.materialize()?,
+            }),
+        }
+    }
+}
+
+/// The one payload decode: turns `buf[payload]`, the payload of a frame in
+/// `codec`, into a [`LazyMsg`].
+///
+/// This is the home of the registry-deferral rule: a `DBH2` payload whose
+/// envelope prefix names an `EncryptedRegistry` comes back undecoded as
+/// [`LazyMsg::DeferredRegistry`]; every other payload (and every malformed
+/// prefix) goes through the eager decoder with its exact errors. A
+/// deferred registry's ciphertext block is validated only when the
+/// receiver decodes its view.
+///
+/// Eager payloads decode in place. A deferred payload takes its bytes: all
+/// of `buf` (left empty; no copy) when the payload ends it, a copy
+/// otherwise.
+pub fn decode_lazy(
+    codec: CodecKind,
+    buf: &mut Vec<u8>,
+    payload: Range<usize>,
+) -> Result<LazyMsg, ProtocolError> {
+    let bytes = &buf[payload.clone()];
+    if codec == CodecKind::Binary && RegistryFrame::matches_prefix(bytes) {
+        let owned = if payload.end == buf.len() {
+            let mut taken = std::mem::take(buf);
+            taken.drain(..payload.start);
+            taken
+        } else {
+            bytes.to_vec()
+        };
+        let frame =
+            RegistryFrame::try_from_payload(owned).expect("matches_prefix accepted this payload");
+        return Ok(LazyMsg::DeferredRegistry(frame));
+    }
+    codec.decode(bytes).map(LazyMsg::Eager)
+}
+
+/// Decodes the protocol frame at the front of `frame`, the inner frame of
+/// an opened seal, returning the message, the frame's bytes and its codec.
+/// Errors are exactly those [`read_frame_lazy`] gives for the same bytes.
+pub fn decode_frame(
+    mut frame: Vec<u8>,
+    max_frame_bytes: usize,
+) -> Result<(LazyMsg, usize, CodecKind), ProtocolError> {
+    let header = match check_header(&frame, max_frame_bytes, Accept::Protocol)? {
+        Some(header) if frame.len() >= header.total() => header,
+        Some(_) => return Err(ProtocolError::TruncatedFrame { context: "payload" }),
+        None if frame.is_empty() => return Err(ProtocolError::Disconnected),
+        None => return Err(ProtocolError::TruncatedFrame { context: "header" }),
+    };
+    let msg = decode_lazy(header.codec(), &mut frame, HEADER_BYTES..header.total())?;
+    Ok((msg, header.total(), header.codec()))
+}
+
+// ------------------------------------------------------------------ encode
+
+/// Encodes one payload, refusing it above `max_frame_bytes` before anything
+/// is written — an oversized message never leaves a half-frame on a stream.
+fn encode_payload(
+    msg: &WireMsg,
+    codec: CodecKind,
+    max_frame_bytes: usize,
+) -> Result<Vec<u8>, ProtocolError> {
+    let payload = codec.encode(msg)?;
+    if payload.len() > max_frame_bytes {
+        return Err(ProtocolError::FrameTooLarge {
+            len: payload.len(),
+            max: max_frame_bytes,
+        });
+    }
+    Ok(payload)
+}
+
+/// The one frame encode: appends `msg` to `out` as one frame in `codec`,
+/// bare, or sealed into a `DBHE` frame when `channel` is up. Returns the
+/// bytes of the inner protocol frame (what the protocol ledger meters) and
+/// the bytes appended to `out` (what the wire carries). A payload above
+/// `max_frame_bytes` is refused before anything is appended.
+pub fn append_frame(
+    out: &mut Vec<u8>,
+    msg: &WireMsg,
+    codec: CodecKind,
+    max_frame_bytes: usize,
+    channel: Option<&mut SecureChannel>,
+) -> Result<(usize, usize), ProtocolError> {
+    let payload = encode_payload(msg, codec, max_frame_bytes)?;
+    let inner_len = HEADER_BYTES + payload.len();
+    let Some(channel) = channel else {
+        out.extend_from_slice(&frame_header(codec.magic(), payload.len()));
+        out.extend_from_slice(&payload);
+        return Ok((inner_len, inner_len));
+    };
+    let mut inner = Vec::with_capacity(inner_len);
+    inner.extend_from_slice(&frame_header(codec.magic(), payload.len()));
+    inner.extend_from_slice(&payload);
+    let start = out.len();
+    channel.seal_into(out, &inner);
+    Ok((inner_len, out.len() - start))
+}
+
 /// Writes one frame in the given codec, returning the total bytes put on
 /// the wire (header included) so callers can meter real frame traffic.
 /// Enforces the default [`MAX_FRAME_BYTES`]; use
@@ -143,22 +440,13 @@ pub fn write_frame_limited<W: Write>(
     codec: CodecKind,
     max_frame_bytes: usize,
 ) -> Result<usize, ProtocolError> {
-    let payload = codec.encode(msg)?;
-    if payload.len() > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            len: payload.len(),
-            max: max_frame_bytes,
-        });
-    }
-    let magic = codec.magic();
-    w.write_all(&magic)
-        .map_err(|e| io_error("write frame header", e))?;
-    w.write_all(&(payload.len() as u32).to_be_bytes())
+    let payload = encode_payload(msg, codec, max_frame_bytes)?;
+    w.write_all(&frame_header(codec.magic(), payload.len()))
         .map_err(|e| io_error("write frame header", e))?;
     w.write_all(&payload)
         .map_err(|e| io_error("write frame payload", e))?;
     w.flush().map_err(|e| io_error("flush frame", e))?;
-    Ok(magic.len() + 4 + payload.len())
+    Ok(HEADER_BYTES + payload.len())
 }
 
 /// Writes one `DBH1` (JSON) frame — the compatibility default (see
@@ -168,10 +456,12 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> Result<usize, Protocol
     write_frame_with(w, msg, CodecKind::Json)
 }
 
+// ------------------------------------------------------------ blocking read
+
 /// Reads exactly `buf.len()` bytes. `at_frame_start` distinguishes a clean
 /// close (EOF before any byte of this frame → [`ProtocolError::Disconnected`])
 /// from a cut-off frame ([`ProtocolError::TruncatedFrame`]).
-pub(crate) fn read_exact_or(
+fn read_exact_or(
     r: &mut impl Read,
     buf: &mut [u8],
     context: &'static str,
@@ -202,129 +492,145 @@ pub(crate) fn read_exact_or(
     Ok(())
 }
 
-/// Reads one frame in whichever known codec its magic announces, returning
-/// the message, the total bytes consumed, and the negotiated codec — the
+/// Reads one frame header off a blocking stream through [`check_header`]:
+/// the magic is checked before the length is read.
+fn read_header<R: Read>(
+    r: &mut R,
+    max_frame_bytes: usize,
+    accept: Accept,
+) -> Result<([u8; HEADER_BYTES], FrameHeader), ProtocolError> {
+    let mut head = [0u8; HEADER_BYTES];
+    read_exact_or(r, &mut head[..4], "header", true)?;
+    check_header(&head[..4], max_frame_bytes, accept)?;
+    read_exact_or(r, &mut head[4..], "header", false)?;
+    let header = check_header(&head, max_frame_bytes, accept)?.expect("a whole header");
+    Ok((head, header))
+}
+
+/// Reads one frame in whichever codec its magic announces, returning the
+/// message, the total bytes consumed, and the negotiated codec — the
 /// listener replies in the same codec, which is the whole per-connection
-/// negotiation protocol.
+/// negotiation. The announced length is checked against `max_frame_bytes`
+/// (see [`TcpConfig`](super::tcp::TcpConfig)) before the payload buffer is
+/// allocated.
 ///
 /// Never panics and never reads past the frame: unknown magics, oversized
 /// lengths, truncation, disconnects and undecodable payloads each map to
-/// their own [`ProtocolError`] variant. With a read timeout set on the
-/// underlying stream, a silent peer surfaces as [`ProtocolError::Io`] when
-/// the timeout elapses — a caller is never stuck forever.
-pub fn read_frame_negotiated<R: Read>(
-    r: &mut R,
-) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
-    read_frame_limited(r, MAX_FRAME_BYTES)
-}
-
-/// [`read_frame_negotiated`] with a caller-configured payload ceiling (see
-/// [`TcpConfig`](super::tcp::TcpConfig)). The announced length is checked
-/// against `max_frame_bytes` before the payload buffer is allocated.
+/// their own [`ProtocolError`] variant.
 pub fn read_frame_limited<R: Read>(
     r: &mut R,
     max_frame_bytes: usize,
 ) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(r, &mut magic, "header", true)?;
-    let Some(codec) = CodecKind::from_magic(magic) else {
-        return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2 or DBHZ"),
-        });
-    };
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "header", false)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "payload", false)?;
-    let msg = codec.decode(&payload)?;
-    Ok((msg, magic.len() + 4 + len, codec))
+    let (msg, bytes, codec) = read_frame_lazy(r, max_frame_bytes)?;
+    Ok((msg.force()?, bytes, codec))
 }
 
-/// Reads one frame of either codec, returning the message and the total
-/// bytes consumed. Use [`read_frame_negotiated`] when the caller needs to
-/// know which codec the peer speaks.
+/// Reads one frame of either codec under the default [`MAX_FRAME_BYTES`],
+/// returning the message and the total bytes consumed.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(WireMsg, usize), ProtocolError> {
-    read_frame_negotiated(r).map(|(msg, n, _)| (msg, n))
+    read_frame_limited(r, MAX_FRAME_BYTES).map(|(msg, n, _)| (msg, n))
 }
 
-/// A frame read whose payload decoding may have been *deferred*.
-///
-/// `DBH2` registry uploads — the coordinator's hot path — are recognised by
-/// their constant-size envelope prefix and shipped to the router as raw
-/// payload bytes ([`RegistryFrame`]); the router folds their ciphertext
-/// block through a borrowed view with zero per-element allocation. Every
-/// other frame decodes eagerly, exactly as [`read_frame_limited`] would.
-// The size gap between variants is irrelevant: a `LazyMsg` lives for one
-// dispatch — decoded off the socket, matched, and consumed — never stored
-// in collections, so boxing `WireMsg` would add an allocation to the hot
-// path to save stack bytes nobody keeps.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum LazyMsg {
-    /// A fully decoded message (everything that is not a `DBH2` registry).
-    Eager(WireMsg),
-    /// A recognised `DBH2` registry upload, still in frame-payload form.
-    DeferredRegistry(RegistryFrame),
+/// [`read_frame_limited`], but the payload goes through [`decode_lazy`]:
+/// `DBH2` registry payloads come back *undecoded* as
+/// [`LazyMsg::DeferredRegistry`] so the receiver can fold them straight out
+/// of the payload bytes.
+pub fn read_frame_lazy<R: Read>(
+    r: &mut R,
+    max_frame_bytes: usize,
+) -> Result<(LazyMsg, usize, CodecKind), ProtocolError> {
+    let (_, header) = read_header(r, max_frame_bytes, Accept::Protocol)?;
+    let mut payload = vec![0u8; header.len];
+    read_exact_or(r, &mut payload, "payload", false)?;
+    let msg = decode_lazy(header.codec(), &mut payload, 0..header.len)?;
+    Ok((msg, header.total(), header.codec()))
 }
 
-impl LazyMsg {
-    /// Forces the message: deferred registries are materialised through the
-    /// eager decoder (same validation, same errors), decoded messages pass
-    /// through unchanged.
-    pub fn force(self) -> Result<WireMsg, ProtocolError> {
+// ---------------------------------------------------------- channel frames
+
+/// One frame pulled off a channel-aware socket, still undecoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChannelFrame {
+    /// A `DBHS` handshake message.
+    Handshake(Vec<u8>),
+    /// A `DBHE` sealed payload (`seq || ciphertext || tag`).
+    Sealed(Vec<u8>),
+    /// A plaintext protocol frame (`DBH1`/`DBH2`): the *entire* frame
+    /// bytes, header included, so a `Plaintext`-policy caller can re-parse
+    /// it with the ordinary wire readers.
+    Plaintext {
+        /// The plaintext codec the magic announced.
+        codec: CodecKind,
+        /// The full frame (magic + length + payload).
+        frame: Vec<u8>,
+    },
+}
+
+impl ChannelFrame {
+    /// The handshake-phase rule: before the channel is up only `DBHS`
+    /// frames are legal. A plaintext protocol frame is a downgrade attempt
+    /// ([`ProtocolError::DowngradeRefused`]); a sealed frame is out of phase
+    /// ([`ProtocolError::AuthFailure`]).
+    pub fn into_handshake(self) -> Result<Vec<u8>, ProtocolError> {
         match self {
-            LazyMsg::Eager(msg) => Ok(msg),
-            LazyMsg::DeferredRegistry(frame) => Ok(WireMsg::Envelope {
-                envelope: frame.materialize()?,
+            ChannelFrame::Handshake(payload) => Ok(payload),
+            ChannelFrame::Plaintext { codec, .. } => Err(ProtocolError::DowngradeRefused {
+                magic: codec.magic(),
+            }),
+            ChannelFrame::Sealed(_) => Err(ProtocolError::AuthFailure {
+                detail: "sealed frame before the handshake finished".to_string(),
+            }),
+        }
+    }
+
+    /// The sealed-only rule of an established channel: only `DBHE` frames
+    /// are legal. A plaintext protocol frame is a downgrade (or an
+    /// unauthenticated splice, [`ProtocolError::DowngradeRefused`]); a
+    /// handshake frame is out of phase ([`ProtocolError::AuthFailure`]).
+    pub fn into_sealed(self) -> Result<Vec<u8>, ProtocolError> {
+        match self {
+            ChannelFrame::Sealed(payload) => Ok(payload),
+            ChannelFrame::Plaintext { codec, .. } => Err(ProtocolError::DowngradeRefused {
+                magic: codec.magic(),
+            }),
+            ChannelFrame::Handshake(_) => Err(ProtocolError::AuthFailure {
+                detail: "handshake frame after the channel was established".to_string(),
             }),
         }
     }
 }
 
-/// [`read_frame_limited`], but `DBH2` registry payloads are returned
-/// *undecoded* as [`LazyMsg::DeferredRegistry`] so the receiver can fold
-/// them straight out of the payload bytes. All other payloads (and every
-/// malformed prefix) go through the eager decoder, keeping its exact error
-/// behaviour; note a deferred registry's ciphertext block is validated
-/// only when the receiver decodes its view.
-pub fn read_frame_lazy<R: Read>(
+/// Reads one frame of *any* known magic — handshake, sealed or plaintext —
+/// returning it with the total bytes consumed. This is the read primitive
+/// of channel-aware blocking paths: the caller decides which variants its
+/// policy and phase accept ([`ChannelFrame::into_handshake`],
+/// [`ChannelFrame::into_sealed`]). The header goes through
+/// [`check_header`]: bad magic is refused before the length is read, and
+/// the length before the payload is allocated.
+pub fn read_channel_frame<R: Read>(
     r: &mut R,
     max_frame_bytes: usize,
-) -> Result<(LazyMsg, usize, CodecKind), ProtocolError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(r, &mut magic, "header", true)?;
-    let Some(codec) = CodecKind::from_magic(magic) else {
-        return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2 or DBHZ"),
-        });
-    };
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "header", false)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "payload", false)?;
-    let total = magic.len() + 4 + len;
-    if codec == CodecKind::Binary {
-        match RegistryFrame::try_from_payload(payload) {
-            Ok(frame) => return Ok((LazyMsg::DeferredRegistry(frame), total, codec)),
-            Err(returned) => payload = returned,
-        }
-    }
-    let msg = codec.decode(&payload)?;
-    Ok((LazyMsg::Eager(msg), total, codec))
+) -> Result<(ChannelFrame, usize), ProtocolError> {
+    let (head, header) = read_header(r, max_frame_bytes, Accept::Channel)?;
+    let kept_head = &head[header.kept_from()..];
+    let mut kept = vec![0u8; kept_head.len() + header.len];
+    kept[..kept_head.len()].copy_from_slice(kept_head);
+    read_exact_or(r, &mut kept[kept_head.len()..], "payload", false)?;
+    Ok((header.channel_frame(kept), header.total()))
+}
+
+/// The clients' receive on an established channel: `frame` must be sealed
+/// ([`ChannelFrame::into_sealed`]), must open under `channel` (a tampered,
+/// replayed or reordered seal is a typed error), and carries one inner
+/// protocol frame. Returns the reply and the inner frame's bytes.
+pub fn open_reply(
+    channel: &mut SecureChannel,
+    frame: ChannelFrame,
+    max_frame_bytes: usize,
+) -> Result<(WireMsg, usize), ProtocolError> {
+    let inner = channel.open_payload(&frame.into_sealed()?)?;
+    let (msg, bytes, _) = decode_frame(inner, max_frame_bytes)?;
+    Ok((msg.force()?, bytes))
 }
 
 #[cfg(test)]
@@ -449,12 +755,12 @@ mod tests {
         assert_eq!(buf[n1..n1 + 4], FRAME_MAGIC_V2);
 
         let mut cursor = &buf[..];
-        let (m1, r1, c1) = read_frame_negotiated(&mut cursor).unwrap();
-        let (m2, r2, c2) = read_frame_negotiated(&mut cursor).unwrap();
+        let (m1, r1, c1) = read_frame_limited(&mut cursor, MAX_FRAME_BYTES).unwrap();
+        let (m2, r2, c2) = read_frame_limited(&mut cursor, MAX_FRAME_BYTES).unwrap();
         assert_eq!((m1, r1, c1), (msg.clone(), n1, CodecKind::Json));
         assert_eq!((m2, r2, c2), (msg, n2, CodecKind::Binary));
         assert_eq!(
-            read_frame_negotiated(&mut cursor),
+            read_frame_limited(&mut cursor, MAX_FRAME_BYTES),
             Err(ProtocolError::Disconnected)
         );
     }

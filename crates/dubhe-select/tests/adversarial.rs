@@ -18,7 +18,7 @@ use dubhe_he::packing::Packer;
 use dubhe_he::{EncryptedVector, Keypair, PackedEncryptedVector};
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    client_handshake, pump, read_channel_frame, read_frame, read_frame_negotiated,
+    client_handshake, pump, read_channel_frame, read_frame, read_frame_limited,
     run_registration_with, run_registration_with_packing, write_frame_with, ChannelFrame,
     ChannelPolicy, CodecKind, Coordinator, CoordinatorServer, Envelope, FaultPlan, FaultyTransport,
     InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg, SecureChannel,
@@ -439,7 +439,7 @@ fn corrupt_deferred_registry_then_recover(
     let len = frame.len();
     frame[len - width..].fill(0xFF);
     stream.write_all(&frame).unwrap();
-    let (reply, _, _) = read_frame_negotiated(&mut stream).unwrap();
+    let (reply, _, _) = read_frame_limited(&mut stream, MAX_FRAME_BYTES).unwrap();
     assert!(
         matches!(reply, WireMsg::Error { .. }),
         "corrupt block must earn a typed error, got {reply:?}"
@@ -459,7 +459,7 @@ fn corrupt_deferred_registry_then_recover(
         )
         .unwrap();
         stream.write_all(&f).unwrap();
-        let (reply, _, _) = read_frame_negotiated(&mut stream).unwrap();
+        let (reply, _, _) = read_frame_limited(&mut stream, MAX_FRAME_BYTES).unwrap();
         assert!(
             matches!(reply, WireMsg::Batch { .. }),
             "healthy upload {id} after the refusal: got {reply:?}"
@@ -501,6 +501,23 @@ fn garbage_bytes_do_not_kill_the_listener() {
         // Best-effort error reply then hangup; either way the read ends.
         let mut sink = Vec::new();
         let _ = stream.read_to_end(&mut sink);
+    }
+
+    // The retired LZSS-compressed JSON codec's magic is refused like any
+    // other unknown magic: a typed `MalformedFrame` reply, then the hangup.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(b"DBHZ\x00\x00\x00\x02{}").unwrap();
+    match read_frame_limited(&mut stream, MAX_FRAME_BYTES).unwrap().0 {
+        WireMsg::Error { detail } => {
+            let expected = ProtocolError::MalformedFrame {
+                detail: "bad magic [44, 42, 48, 5a], expected DBH1 or DBH2".to_string(),
+            };
+            assert_eq!(detail, expected.to_string());
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
     }
 
     // A truncated frame — valid magic, promised length never delivered —
@@ -779,7 +796,7 @@ fn reactor_reassembles_interleaved_partial_frames_per_connection() {
     }
 
     for (i, stream) in streams.iter_mut().enumerate() {
-        let (reply, _, codec) = read_frame_negotiated(stream).unwrap();
+        let (reply, _, codec) = read_frame_limited(stream, MAX_FRAME_BYTES).unwrap();
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "connection {i}: expected an empty batch, got {reply:?}"
@@ -815,7 +832,7 @@ fn reactor_decodes_headers_split_at_every_boundary() {
         stream.write_all(&frame[split..mid]).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         stream.write_all(&frame[mid..]).unwrap();
-        let (reply, _, _) = read_frame_negotiated(&mut stream).unwrap();
+        let (reply, _, _) = read_frame_limited(&mut stream, MAX_FRAME_BYTES).unwrap();
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "split at {split}: got {reply:?}"
@@ -1029,7 +1046,7 @@ fn downgrade_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     write_frame_with(&mut stream, &verdict_envelope(0), CodecKind::Binary).unwrap();
-    let (reply, _, codec) = read_frame_negotiated(&mut stream).unwrap();
+    let (reply, _, codec) = read_frame_limited(&mut stream, MAX_FRAME_BYTES).unwrap();
     match reply {
         WireMsg::Error { detail } => {
             assert!(detail.contains("authenticated channel"), "{detail}")

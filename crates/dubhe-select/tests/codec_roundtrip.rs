@@ -130,7 +130,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(text_seed);
         let text = format!("error {}", rng.gen_range(0..100_000));
         let msg = wire_msg(variant, inner, &values, (a, b), &text, &mut rng);
-        for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+        for codec in [CodecKind::Json, CodecKind::Binary] {
             // Payload-level round trip.
             let payload = codec.encode(&msg).unwrap();
             prop_assert_eq!(codec.decode(&payload).unwrap(), msg.clone());

@@ -114,7 +114,7 @@ fn tcp_loopback_session_is_bit_identical_to_in_memory_under_both_codecs() {
     // canonical binary. Decisions and canonical accounting must be
     // identical; only the measured framing differs.
     let mut wire_totals = Vec::new();
-    for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+    for codec in [CodecKind::Json, CodecKind::Binary] {
         let listener = ReactorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
         let endpoint = TcpTransport::connect_with_codec(listener.addr(), codec).unwrap();
         let (overall_tcp, verdict_tcp, stats_tcp, endpoint) = drive_session(&dists, 62, endpoint);
